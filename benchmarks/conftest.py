@@ -23,7 +23,6 @@ append full instrumented records to the persistent run ledger.
 
 import json
 import os
-import warnings
 from collections import defaultdict
 from pathlib import Path
 
@@ -97,23 +96,13 @@ def obs_run_record(request):
     :mod:`repro.obs` and append one :class:`repro.obs.runs.RunRecord`
     (label ``bench:<nodeid>``, fingerprinted by the nodeid) to the ledger
     there, so ``repro runs diff``/``check`` can compare bench runs over
-    time.  ``REPRO_BENCH_TRACE_DIR=<dir>`` is the deprecated alias for
-    the old per-benchmark ``<nodeid>.trace.json`` dumps and still works.
-    Without either variable this fixture is inert and benchmarks run
+    time.  Without the variable this fixture is inert and benchmarks run
     uninstrumented.
     """
     runs_dir = os.environ.get(obs_runs.RUNS_DIR_ENV)
-    trace_dir = os.environ.get("REPRO_BENCH_TRACE_DIR")
-    if not runs_dir and not trace_dir:
+    if not runs_dir:
         yield
         return
-    if trace_dir:
-        warnings.warn(
-            "REPRO_BENCH_TRACE_DIR is deprecated; set REPRO_RUNS_DIR to "
-            "record benchmarks into the persistent run ledger instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     # The fixture records one aggregate run per benchmark; keep the flows
     # inside it from auto-appending their own inner records.
     with obs_runs.suppress_auto_record():
@@ -122,21 +111,12 @@ def obs_run_record(request):
     # The global registry still holds this run's metrics (capture resets
     # it at entry, not exit), so the default snapshot picks them up.
     nodeid = request.node.nodeid
-    if runs_dir:
-        record = obs_runs.new_record(
-            label=f"bench:{nodeid}",
-            config={"kind": "bench", "nodeid": nodeid},
-            roots=cap.roots,
-        )
-        obs_runs.RunLedger(runs_dir).append(record)
-    if trace_dir:
-        directory = Path(trace_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        safe = (
-            nodeid.replace("/", "_").replace("::", "-")
-            .replace("[", "(").replace("]", ")")
-        )
-        obs.write_trace_json(directory / f"{safe}.trace.json", cap.roots)
+    record = obs_runs.new_record(
+        label=f"bench:{nodeid}",
+        config={"kind": "bench", "nodeid": nodeid},
+        roots=cap.roots,
+    )
+    obs_runs.RunLedger(runs_dir).append(record)
 
 
 @pytest.fixture(scope="session")

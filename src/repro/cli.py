@@ -135,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_obs_flags(correct)
     _add_parallel_flags(correct)
-    _add_litho_flags(correct)
 
     check = sub.add_parser(
         "check",
@@ -169,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the report to PATH instead of stdout",
     )
     _add_parallel_flags(check)
-    _add_litho_flags(check)
 
     mrc_cmd = sub.add_parser(
         "mrc",
@@ -296,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_events_flag(profile)
     _add_parallel_flags(profile)
-    _add_litho_flags(profile)
 
     report = sub.add_parser(
         "report", help="markdown tape-out report comparing correction levels"
@@ -312,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated correction levels to compare",
     )
     report.add_argument("--dose", default="auto")
-    _add_litho_flags(report)
 
     runs = sub.add_parser(
         "runs", help="inspect and gate on the persistent run ledger"
@@ -572,27 +568,12 @@ def _add_parallel_flags(sub_parser: argparse.ArgumentParser) -> None:
         "--on-failure", choices=["serial", "raise"], default="serial",
         help="after retries: correct the tile in-process, or fail fast",
     )
-    sub_parser.add_argument(
-        "--no-shm", action="store_true",
-        help="ship tile payloads by per-job pickle instead of one "
-        "shared-memory segment (identical results, slower fan-out)",
-    )
 
 
-def _add_litho_flags(sub_parser: argparse.ArgumentParser) -> None:
-    sub_parser.add_argument(
-        "--no-kernel-cache", action="store_true",
-        help="always rebuild SOCS kernels in-process instead of reusing "
-        "the persistent store under $REPRO_KERNEL_CACHE_DIR / "
-        "$REPRO_RUNS_DIR/kernels (identical results, slower start)",
-    )
-
-
-def _litho_config(args) -> LithoConfig:
-    """The CLI's standard litho model, honouring ``--no-kernel-cache``."""
+def _litho_config() -> LithoConfig:
+    """The CLI's standard litho model."""
     return LithoConfig(
         optics=krf_annular(), pixel_nm=8.0, ambit_nm=600,
-        use_kernel_cache=not getattr(args, "no_kernel_cache", False),
     )
 
 
@@ -603,7 +584,6 @@ def _parallel_spec(args) -> Optional[ParallelSpec]:
         n_workers=args.workers,
         max_retries=args.max_retries,
         on_failure=args.on_failure,
-        use_shared_memory=not getattr(args, "no_shm", False),
     )
 
 
@@ -786,7 +766,7 @@ def _run_correct(args) -> int:
     simulator = None
     dose = 1.0
     if level in (CorrectionLevel.MODEL, CorrectionLevel.MODEL_SRAF) or args.dose == "auto":
-        simulator = LithoSimulator(_litho_config(args))
+        simulator = LithoSimulator(_litho_config())
     if args.dose == "auto":
         anchor = line_space_array(rules.poly_width, rules.poly_space)
         dose = simulator.dose_to_size(
@@ -862,7 +842,7 @@ def _check(args) -> int:
         artifact = args.gds
     else:
         target = _quickstart_pattern(rules)
-    litho = _litho_config(args)
+    litho = _litho_config()
     recipe = TapeoutRecipe(
         level=_LEVELS[args.level],
         dark_field=args.dark_field,
@@ -1012,7 +992,7 @@ def _quickstart_pattern(rules) -> Region:
 
 def _profile(args) -> int:
     rules = _NODES[args.node]()
-    simulator = LithoSimulator(_litho_config(args))
+    simulator = LithoSimulator(_litho_config())
     if args.gds:
         if args.layer is None:
             raise ReproError("profile needs --layer with a GDS file")
@@ -1555,7 +1535,7 @@ def _report(args) -> int:
     except KeyError as bad:
         raise ReproError(f"unknown correction level {bad}") from None
     rules = _NODES[args.node]()
-    simulator = LithoSimulator(_litho_config(args))
+    simulator = LithoSimulator(_litho_config())
     dose = _resolve_dose(args, rules, simulator)
     results = {
         level: correct_region(target, level, simulator=simulator, dose=dose)

@@ -58,12 +58,6 @@ class AbbeEngine:
         return intensity
 
 
-#: Backwards-compatible alias: kernels now live in
-#: :mod:`repro.litho.kernel_cache` so they can be persisted across
-#: processes, but old code imported the dataclass from here.
-_KernelSet = KernelSet
-
-
 class SOCSEngine:
     """Hopkins TCC -> coherent-kernel imaging with per-defocus caching.
 

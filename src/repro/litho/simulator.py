@@ -18,7 +18,6 @@ from ..geometry import Rect, Region
 from ..obs import count as _obs_count, observe as _obs_observe
 from .contour import (
     cutline_cd,
-    edge_offset_state,
     edge_offsets_batch,
     printed_region,
 )
@@ -50,19 +49,6 @@ class LithoConfig:
     #: to the Abbe engine: building the TCC stops amortising for windows
     #: simulated once (tiled OPC keeps every window small and cached).
     socs_support_limit: int = 3000
-    #: Share SOCS kernel decompositions across processes and runs through
-    #: the persistent fingerprint-keyed store (see
-    #: :mod:`repro.litho.kernel_cache`); the store location comes from the
-    #: environment, so ``False`` is the only off switch a config needs
-    #: (CLI: ``--no-kernel-cache``).  The field rides on the config so
-    #: multiprocessing workers -- which rebuild their simulator from this
-    #: dataclass -- inherit the choice.
-    use_kernel_cache: bool = True
-    #: Evaluate all EPE control sites of a window in one vectorized
-    #: gather instead of a per-site probe loop.  Byte-identical results
-    #: either way (the parity suite asserts it); ``False`` restores the
-    #: scalar reference path.
-    batched_sites: bool = True
 
     def __post_init__(self) -> None:
         if self.engine not in ("socs", "abbe"):
@@ -84,12 +70,14 @@ class LithoSimulator:
 
     def __init__(self, config: LithoConfig):
         self.config = config
-        kernel_store = KernelStore.from_env() if config.use_kernel_cache else None
+        # The persistent kernel store comes from the environment
+        # (``REPRO_KERNEL_CACHE=0`` turns it off), which pool workers
+        # inherit along with everything else.
         self._socs = SOCSEngine(
             config.optics,
             aberrations=config.aberrations,
             max_kernels=config.max_kernels,
-            kernel_store=kernel_store,
+            kernel_store=KernelStore.from_env(),
         )
         self._abbe = AbbeEngine(config.optics, aberrations=config.aberrations)
 
@@ -298,17 +286,9 @@ class LithoSimulator:
         """
         grid, latent = self.latent_image(mask, window, defocus_nm)
         threshold = self.config.resist.effective_threshold(dose)
-        if self.config.batched_sites:
-            _obs_count("sim.batched_sites", len(sites))
-            return edge_offsets_batch(
-                latent, grid, sites, threshold, search_nm=search_nm
-            )
-        return [
-            edge_offset_state(
-                latent, grid, anchor, normal, threshold, search_nm=search_nm
-            )
-            for anchor, normal in sites
-        ]
+        return edge_offsets_batch(
+            latent, grid, sites, threshold, search_nm=search_nm
+        )
 
     def focus_exposure_matrix(
         self,

@@ -11,8 +11,9 @@
 The shim keeps the original morphological API alive because it is the
 right tool for one job that the edge engine is not: :func:`repair_mask`
 needs violation *regions* (to fill or trim), not point markers.  The
-repair loop therefore still runs on openings/closings, but its
-post-condition is now checked by the edge engine.
+repair loop therefore still runs on openings/closings; its
+post-condition is checked by the edge engine when the caller asks for
+it (``strict=True`` or :func:`repair_mask_residuals`).
 """
 
 from __future__ import annotations
@@ -101,16 +102,18 @@ def repair_mask(
     standard automated fix-up between OPC and fracture.  Passes repeat
     because a fill can create a new narrow neck nearby.
 
-    The post-condition is verified by the edge-based engine
-    (:func:`repro.verify.mrc.check_mask_region`): with ``strict=True``
+    With ``strict=True`` the post-condition is verified by the
+    edge-based engine (:func:`repro.verify.mrc.check_mask_region`) and
     residual blocking violations raise :class:`OPCError`; otherwise the
-    still-dirty geometry is returned as-is for manual review (use
+    repaired geometry is returned unchecked, possibly still dirty (use
     :func:`repair_mask_residuals` to obtain the leftovers).
     """
+    if not strict:
+        return _repair_passes(mask_geometry, rules, max_passes)
     repaired, residual = repair_mask_residuals(
         mask_geometry, rules, max_passes
     )
-    if strict and residual:
+    if residual:
         heads = "; ".join(
             f"{v.rule_id} at {tuple(v.marker)}" for v in residual[:3]
         )
@@ -133,6 +136,21 @@ def repair_mask_residuals(
     edge engine; an empty list is the machine-checked post-condition
     that the repair converged.
     """
+    current = _repair_passes(mask_geometry, rules, max_passes)
+    residual = [
+        violation
+        for violation in check_mask_region(
+            current, rules, with_stats=False
+        ).violations
+        if violation.severity == "error"
+    ]
+    return current, residual
+
+
+def _repair_passes(
+    mask_geometry: Region, rules: Optional[MRCRules], max_passes: int
+) -> Region:
+    """The fill/trim passes of :func:`repair_mask`, without a final check."""
     rules = (MRCRules() if rules is None else rules).validated()
     current = mask_geometry.merged()
     for _pass in range(max_passes):
@@ -143,14 +161,7 @@ def repair_mask_residuals(
             current = (current | report.space_violations).merged()
         if not report.width_violations.is_empty:
             current = (current - report.width_violations).merged()
-    residual = [
-        violation
-        for violation in check_mask_region(
-            current, rules, with_stats=False
-        ).violations
-        if violation.severity == "error"
-    ]
-    return current, residual
+    return current
 
 
 def _drop_dust(region: Region, min_area_nm2: int = 4) -> Region:

@@ -21,9 +21,12 @@ parent merges them (``repro.obs.merge_spans`` / ``merge_snapshot``) so
 ``repro profile`` shows per-tile, per-worker breakdowns with exact
 counter totals.
 
+Tile jobs travel to the workers by plain pickle through the pool pipe:
+a job is a few kilobytes of geometry, cheap to pickle next to the
+correction it orders.
 Everything shipped to a worker is picklable, and the worker entry points
-are module-level functions, so the pool is safe under the ``spawn``
-start method as well as ``fork``.
+are module-level functions, so the pool gives byte-identical results
+under the ``fork``, ``spawn`` and ``forkserver`` start methods alike.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import os
 import pickle
 import time
 import traceback as _traceback
-from multiprocessing import shared_memory
 from concurrent.futures import (
     BrokenExecutor,
     Future,
@@ -111,12 +113,6 @@ class ParallelSpec:
     #: crashed worker (the pool is torn down and the job retried).
     #: ``None`` waits forever.
     timeout_s: Optional[float] = None
-    #: Ship tile payloads through one ``multiprocessing.shared_memory``
-    #: segment (context geometry pickled once in the parent, mapped by
-    #: every worker) instead of re-pickling each job through the pool
-    #: pipe.  Results are identical either way; ``False`` forces the
-    #: plain per-job pickle path (CLI: ``--no-shm``).
-    use_shared_memory: bool = True
 
     def __post_init__(self):
         # Eager validation: a bad spec should die at construction (where
@@ -159,32 +155,6 @@ class TileJob:
     profile_hz: float = 0.0
     #: Mask rules for advisory per-tile MRC evaluation (``None`` = off).
     mrc_rules: Optional[MRCRules] = None
-
-
-@dataclass(frozen=True)
-class TileJobRef:
-    """A :class:`TileJob` by reference into a shared-memory segment.
-
-    The heavy payload (context geometry plus the run-constant header) sits
-    pickled once in the parent's segment; the ref itself pickles in a few
-    bytes, so fan-out cost stops scaling with tile geometry size.
-    ``index`` and ``tile`` ride along uncompressed so failure reporting
-    works even when the segment cannot be attached.
-    """
-
-    index: int
-    tile: Rect
-    shm_name: str
-    header_bytes: int
-    offset_bytes: int
-    length_bytes: int
-
-
-#: TileJob fields identical across one pool run, pickled once per segment.
-_SHM_COMMON_FIELDS = (
-    "halo_nm", "recipe", "mask_builder", "dose", "defocus_nm", "observe",
-    "profile_hz", "mrc_rules",
-)
 
 
 @dataclass(frozen=True)
@@ -271,41 +241,9 @@ def _maybe_poison(index: int) -> None:
     raise RuntimeError(f"poisoned tile {index} ({POISON_TILE_ENV})")
 
 
-def _attach_shm(name: str) -> shared_memory.SharedMemory:
-    """Attach an existing segment without re-registering ownership.
-
-    On Python 3.13+ ``track=False`` skips the resource-tracker
-    registration outright.  Earlier versions re-register on attach, which
-    is harmless here: pool workers share the parent's tracker process, so
-    the duplicate registration folds into the parent's own and the
-    parent's single ``unlink()`` settles the books.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)  # type: ignore[call-arg]
-    except TypeError:  # Python < 3.13: no track parameter
-        return shared_memory.SharedMemory(name=name)
-
-
-def _job_from_ref(ref: TileJobRef) -> TileJob:
-    """Rehydrate a full :class:`TileJob` from its shared-memory ref."""
-    segment = _attach_shm(ref.shm_name)
-    try:
-        header = pickle.loads(bytes(segment.buf[: ref.header_bytes]))
-        context = pickle.loads(
-            bytes(
-                segment.buf[ref.offset_bytes : ref.offset_bytes + ref.length_bytes]
-            )
-        )
-    finally:
-        segment.close()
-    return TileJob(index=ref.index, tile=ref.tile, context=context, **header)
-
-
-def _execute_job(job) -> TileOutcome:
+def _execute_job(job: TileJob) -> TileOutcome:
     """Run one tile in a pool worker, catching failures into the outcome."""
     try:
-        if isinstance(job, TileJobRef):
-            job = _job_from_ref(job)
         _maybe_poison(job.index)
         simulator = _worker_simulator
         if simulator is None:
@@ -378,42 +316,6 @@ def _run_tile(job: TileJob, simulator: LithoSimulator):
 
 # -- parent side ---------------------------------------------------------------
 
-def _pack_jobs_shm(jobs: List[TileJob]):
-    """Pack ``jobs`` into one shared-memory segment; refs replace payloads.
-
-    Layout: the run-constant header (recipe, mask builder, dose, ...)
-    pickled once, then each job's context geometry back to back.  Returns
-    ``(segment, refs_by_index)``, or ``None`` when shared memory is
-    unavailable on this platform -- callers then ship jobs by plain
-    pickle, which is always correct, just slower.
-    """
-    try:
-        common = pickle.dumps(
-            {name: getattr(jobs[0], name) for name in _SHM_COMMON_FIELDS}
-        )
-        blobs = [pickle.dumps(job.context) for job in jobs]
-        segment = shared_memory.SharedMemory(
-            create=True, size=len(common) + sum(len(blob) for blob in blobs)
-        )
-    except Exception:
-        return None
-    segment.buf[: len(common)] = common
-    refs: Dict[int, TileJobRef] = {}
-    cursor = len(common)
-    for job, blob in zip(jobs, blobs):
-        segment.buf[cursor : cursor + len(blob)] = blob
-        refs[job.index] = TileJobRef(
-            index=job.index,
-            tile=job.tile,
-            shm_name=segment.name,
-            header_bytes=len(common),
-            offset_bytes=cursor,
-            length_bytes=len(blob),
-        )
-        cursor += len(blob)
-    return segment, refs
-
-
 def run_tile_jobs(
     plans: List[TilePlan],
     simulator: LithoSimulator,
@@ -428,11 +330,7 @@ def run_tile_jobs(
     """Correct every planned tile on a worker pool; outcomes in tile order.
 
     Retries dead or failing jobs up to ``spec.max_retries`` times, then
-    applies ``spec.on_failure``.  With ``spec.use_shared_memory`` the
-    tile payloads travel through one shared-memory segment as
-    :class:`TileJobRef` handles (``opc.shm_jobs``), falling back to
-    per-job pickling when shared memory is unavailable or a tile fails
-    once (``opc.shm_fallbacks``).  Worker span trees and metric snapshots
+    applies ``spec.on_failure``.  Worker span trees and metric snapshots
     are merged into the parent trace/registry, and the pool's own
     bookkeeping lands under an ``opc.parallel`` span with
     ``opc.tile_retries`` / ``opc.tile_fallbacks`` / ``opc.tile_failures``
@@ -468,18 +366,6 @@ def run_tile_jobs(
     outcomes: Dict[int, TileOutcome] = {}
     attempts: Dict[int, int] = {job.index: 0 for job in jobs}
     stats = {"retries": 0, "fallbacks": 0, "failures": 0}
-    # Shared-memory fan-out: the heavy payloads live in one segment the
-    # parent owns; the pool pipe only carries tiny refs.  The original
-    # TileJobs stay around for retries and the serial-fallback path.
-    shm_segment = None
-    refs: Dict[int, TileJobRef] = {}
-    if spec.use_shared_memory and jobs:
-        packed = _pack_jobs_shm(jobs)
-        if packed is not None:
-            shm_segment, refs = packed
-            _obs_count("opc.shm_jobs", len(refs))
-        else:
-            _obs_count("opc.shm_fallbacks", len(jobs))
     # Live telemetry: one bounded queue per pool run, created from the
     # same multiprocessing context as the executor so it works under
     # spawn as well as fork.  None when no sink is attached -- the whole
@@ -495,25 +381,18 @@ def run_tile_jobs(
     with _obs_span(
         "opc.parallel", n_workers=spec.n_workers, tiles=len(jobs),
         start_method=spec.start_method or "default",
-        shared_memory=bool(refs),
     ) as pool_span:
         try:
             queue = jobs
             while queue:
                 queue = _run_round(
                     queue, outcomes, attempts, stats, simulator, spec,
-                    events_queue, progress, refs,
+                    events_queue, progress,
                 )
         finally:
             if events_queue is not None:
                 _events.drain_queue(events_queue)
                 events_queue.close()
-            if shm_segment is not None:
-                try:
-                    shm_segment.close()
-                    shm_segment.unlink()
-                except OSError:  # pragma: no cover - best-effort cleanup
-                    pass
         converged_tiles = 0
         worker_profiles: List[Dict[str, Any]] = []
         for index in sorted(outcomes):
@@ -560,7 +439,6 @@ def _run_round(
     spec: ParallelSpec,
     events_queue: Optional[Any] = None,
     progress: Optional[_events.PoolProgress] = None,
-    refs: Optional[Dict[int, TileJobRef]] = None,
 ) -> List[TileJob]:
     """Submit ``queue`` to a fresh pool; return the jobs needing another round.
 
@@ -569,22 +447,15 @@ def _run_round(
     and per-tile timeouts abandon the round.  In the latter two cases the
     pool is torn down (hung or dead workers cannot be reused), finished
     results are harvested, and unfinished jobs are resubmitted next round.
-
-    When ``refs`` holds a shared-memory ref for a job, the ref is
-    submitted in its place; a job that fails once drops its ref, so
-    retries exercise the plain-pickle path (ruling the shared-memory hop
-    out as the fault) without costing a dedicated attempt.
     """
     executor = _new_executor(spec, simulator.config, events_queue)
     restart = False
     retry: List[TileJob] = []
-    refs = refs if refs is not None else {}
     try:
         futures: Dict[Future, TileJob] = {}
         for job in queue:
             try:
-                payload = refs.get(job.index, job)
-                futures[executor.submit(_execute_job, payload)] = job
+                futures[executor.submit(_execute_job, job)] = job
             except BrokenExecutor:
                 retry.append(job)  # pool died while feeding it; next round
                 restart = True
@@ -595,7 +466,7 @@ def _run_round(
                 outcome = _harvest_done(future)
                 if outcome is not None:
                     _absorb(outcome, job, outcomes, attempts, stats, retry,
-                            simulator, spec, progress, refs)
+                            simulator, spec, progress)
                 else:
                     retry.append(job)
                 continue
@@ -608,18 +479,18 @@ def _run_round(
                 _register_failure(
                     job, f"tile timed out after {spec.timeout_s} s",
                     None, attempts, stats, retry, outcomes, simulator, spec,
-                    progress, refs,
+                    progress,
                 )
             except BrokenExecutor as death:
                 restart = True
                 _register_failure(
                     job, f"worker process died: {death or 'terminated'}",
                     None, attempts, stats, retry, outcomes, simulator, spec,
-                    progress, refs,
+                    progress,
                 )
             else:
                 _absorb(outcome, job, outcomes, attempts, stats, retry,
-                        simulator, spec, progress, refs)
+                        simulator, spec, progress)
     except TileCorrectionError:
         restart = True  # fail fast: kill in-flight workers on the way out
         raise
@@ -640,7 +511,6 @@ def _absorb(
     simulator: LithoSimulator,
     spec: ParallelSpec,
     progress: Optional[_events.PoolProgress] = None,
-    refs: Optional[Dict[int, TileJobRef]] = None,
 ) -> None:
     if outcome.ok:
         outcomes[outcome.index] = outcome
@@ -651,7 +521,7 @@ def _absorb(
         job,
         f"worker raised {outcome.error.kind}: {outcome.error.message}",
         outcome.error.worker_traceback,
-        attempts, stats, retry, outcomes, simulator, spec, progress, refs,
+        attempts, stats, retry, outcomes, simulator, spec, progress,
     )
 
 
@@ -666,14 +536,9 @@ def _register_failure(
     simulator: LithoSimulator,
     spec: ParallelSpec,
     progress: Optional[_events.PoolProgress] = None,
-    refs: Optional[Dict[int, TileJobRef]] = None,
 ) -> None:
     """Retry a failed job, or apply the end-of-retries policy."""
     attempts[job.index] += 1
-    if refs is not None and refs.pop(job.index, None) is not None:
-        # Whatever actually failed, rerun this tile via plain pickle so a
-        # corrupt/unmappable segment cannot burn every retry.
-        _obs_count("opc.shm_fallbacks")
     if attempts[job.index] <= spec.max_retries:
         stats["retries"] += 1
         _obs_count("opc.tile_retries")

@@ -302,12 +302,6 @@ class TestEnvWiring:
         monkeypatch.setenv(CACHE_ENABLE_ENV, "0")
         assert KernelStore.from_env() is None
 
-    def test_config_off_switch(self, monkeypatch, tmp_path, optics):
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        config = LithoConfig(optics=optics, pixel_nm=PIXEL_NM, ambit_nm=600,
-                             use_kernel_cache=False)
-        assert LithoSimulator(config).kernel_store is None
-
 
 class TestSimulationParity:
     def test_cold_warm_and_off_are_byte_identical(self, tmp_path, monkeypatch,

@@ -84,20 +84,3 @@ class TestWorkerProfilePropagation:
                 simulator, anchor_dose, mixed_lines, ParallelSpec(n_workers=2)
             ).corrected.loops
         assert sampled == plain
-
-    def test_profiles_survive_shm_and_pickle_paths(
-        self, simulator, anchor_dose, mixed_lines
-    ):
-        for use_shm in (True, False):
-            obs.enable()
-            with prof.SamplingProfiler(hz=300) as profiler:
-                _run(
-                    simulator, anchor_dose, mixed_lines,
-                    ParallelSpec(n_workers=2, use_shared_memory=use_shm),
-                )
-            obs.disable()
-            obs.take_finished()
-            assert any(
-                key.startswith("opc.parallel")
-                for key in profiler.profile.samples
-            ), f"no worker samples with use_shared_memory={use_shm}"

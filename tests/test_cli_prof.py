@@ -78,16 +78,19 @@ class TestFlameArtifacts:
         assert record.quality["peak_rss_bytes"] > 0
 
     def test_cpu_agrees_with_sampled_wall_fractions(self, flame_run):
-        # acceptance: per-span cpu_s never exceeds its sampled wall
-        # slice by more than rounding, and the wall total tracks the
-        # record's span-derived wall time within tolerance.
+        # acceptance: per-span cpu_s never exceeds its physical limit --
+        # its sampled wall slice on every usable core (multithreaded BLAS
+        # legitimately runs process CPU above wall time) -- by more than
+        # rounding, and the wall total tracks the record's span-derived
+        # wall time within tolerance.
         _, runs_dir = flame_run
         ledger = obs_runs.RunLedger(runs_dir)
         record = ledger.load_entry(ledger.resolve("last"))
         payload = record.profile
         wall_total = sum(payload["wall_s"].values())
+        cores = len(os.sched_getaffinity(0))
         for span_name, cpu_s in payload["cpu_s"].items():
-            assert cpu_s <= payload["wall_s"][span_name] * 1.25 + 0.05
+            assert cpu_s <= payload["wall_s"][span_name] * cores + 0.05
         assert wall_total == pytest.approx(record.wall_s, rel=0.5, abs=1.0)
 
     def test_summary_printed(self, flame_run, capsys, tmp_path):

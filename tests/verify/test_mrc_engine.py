@@ -235,3 +235,18 @@ class TestLegacyShim:
         mask = rects((0, 0, 200, 200), (230, 0, 430, 200))
         with pytest.raises(OPCError, match="MRC102"):
             repair_mask(mask, MRCRules(40, 40), max_passes=0, strict=True)
+
+    def test_lenient_repair_skips_the_residual_sweep(self, monkeypatch):
+        """strict=False returns the repaired geometry without sweeping it
+        for leftovers nobody reads; the geometry is the one the checked
+        path returns."""
+        from repro.opc import mrc as opc_mrc
+
+        mask = rects((0, 0, 200, 200), (230, 0, 430, 200))
+        checked, _ = opc_mrc.repair_mask_residuals(mask, MRCRules(40, 40))
+
+        def no_sweep(*_args, **_kwargs):
+            raise AssertionError("lenient repair ran the residual sweep")
+
+        monkeypatch.setattr(opc_mrc, "check_mask_region", no_sweep)
+        assert opc_mrc.repair_mask(mask, MRCRules(40, 40)) == checked
