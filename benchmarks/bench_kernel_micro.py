@@ -64,6 +64,7 @@ def test_micro_rasterize(benchmark, dense_region):
 
 
 def test_micro_socs_image(benchmark, dense_region):
+    """One band-limited SOCS image on a 256x256 tile grid, kernels warm."""
     grid = Grid(0, 0, 8.0, 256, 256)
     engine = SOCSEngine(krf_annular())
     field = binary_mask(dense_region).field(grid)
@@ -73,11 +74,12 @@ def test_micro_socs_image(benchmark, dense_region):
 
 
 def test_micro_kernel_build_cold(benchmark):
-    """The full TCC decomposition: the kernel cache's miss path.
+    """A full kernel build: the kernel cache's miss path.
 
     A fresh engine per call defeats the process-local memo, so every
-    round pays the eigendecomposition.  The mean lands in the run ledger
-    as ``quality.kernel_build_cold_s`` for ``repro runs check`` gating.
+    round pays the pupil sampling and the thin SVD of the source-pupil
+    amplitude matrix.  The mean lands in the run ledger as
+    ``quality.kernel_build_cold_s`` for ``repro runs check`` gating.
     """
     kernels = benchmark(
         lambda: SOCSEngine(krf_annular()).kernel_set(KERNEL_GRID, 0.0)

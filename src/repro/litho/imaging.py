@@ -5,11 +5,14 @@ Two engines compute the same physics:
 * :class:`AbbeEngine` sums one coherent image per discretised source point
   -- simple, exact for the discretised source, and the validation
   reference.
-* :class:`SOCSEngine` builds the Hopkins transmission cross-coefficient
-  matrix restricted to the transmitted frequency support, eigendecomposes
-  it into coherent kernels (Sum Of Coherent Systems), and keeps the
-  dominant kernels.  Image evaluation then costs a handful of FFTs, which
-  is what makes iterative model-based OPC affordable.
+* :class:`SOCSEngine` decomposes the Hopkins transmission
+  cross-coefficient matrix restricted to the transmitted frequency
+  support into coherent kernels (Sum Of Coherent Systems), through a thin
+  SVD of the source-pupil amplitude matrix, and keeps the dominant
+  kernels.  Each kernel field is evaluated on the smallest grid that
+  holds its band-limited intensity, and the summed intensity is
+  Fourier-upsampled once, which is what makes iterative model-based OPC
+  affordable.
 
 Intensity normalisation: source weights sum to 1 and the pupil has unit
 transmission, so an all-clear mask images to intensity 1.0.
@@ -20,6 +23,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from ..errors import LithoError
 from ..obs import count as _obs_count
@@ -99,39 +103,30 @@ class SOCSEngine:
         kernels = self.kernel_set(grid, defocus_nm)
         spectrum = np.fft.fft2(mask_field)
         support_values = spectrum[kernels.support_iy, kernels.support_ix]
-        # Every kernel's scattered spectrum is nonzero on the same few
-        # frequency rows (the shared pupil support), and ``np.fft.ifft2``
-        # transforms axis -1 first, then axis -2.  An all-zero line
-        # transforms to exact zeros, so the first pass runs only over
-        # the occupied rows, batched across all kernels; the second pass
-        # runs per kernel in a transposed buffer so its line transforms
-        # are contiguous instead of strided.  Both passes perform the
-        # same 1-D transforms on the same values as the per-kernel
-        # ``ifft2``, so the intensity is reproduced exactly at a
-        # fraction of the FFT cost.
-        rows = np.unique(kernels.support_iy)
-        row_of = np.searchsorted(rows, kernels.support_iy)
-        packed = np.zeros(
-            (len(kernels.eigenvalues), len(rows), grid.nx), dtype=complex
-        )
-        packed[:, row_of, kernels.support_ix] = (
-            kernels.eigenvectors * support_values
-        )
-        head = np.fft.ifft(packed, axis=-1)
-        transposed = np.zeros((grid.nx, grid.ny), dtype=complex)
-        intensity = np.zeros((grid.nx, grid.ny), dtype=float)
-        magnitude = np.empty((grid.nx, grid.ny), dtype=float)
-        for eigenvalue, head_rows in zip(kernels.eigenvalues, head):
-            transposed[:, rows] = head_rows.T
-            field = np.fft.ifft(transposed, axis=-1)
-            # In-place ``intensity += eigenvalue * np.abs(field) ** 2``:
-            # the same operations in the same order, without the
-            # temporaries.
-            np.abs(field, out=magnitude)
-            np.square(magnitude, out=magnitude)
-            np.multiply(magnitude, eigenvalue, out=magnitude)
-            np.add(intensity, magnitude, out=intensity)
-        return np.ascontiguousarray(intensity.T)
+        # A kernel field whose spectrum lies within +-K bins has an
+        # intensity within +-2K bins, which 4K+1 samples per axis hold
+        # without aliasing.  So every field is evaluated on that coarse
+        # grid, and the summed intensity is Fourier-upsampled once.
+        my, half_y, iy = _band(kernels.support_iy, grid.ny)
+        mx, half_x, ix = _band(kernels.support_ix, grid.nx)
+        fields = np.zeros((len(kernels.eigenvalues), my, mx), dtype=complex)
+        fields[:, iy, ix] = kernels.eigenvectors * support_values
+        fields = np.fft.ifft2(fields)
+        # ``ifft2`` on the coarse grid scales each field by (ny*nx)/(my*mx)
+        # relative to the full grid; the intensity carries that squared.
+        weights = kernels.eigenvalues * ((my * mx) / (grid.ny * grid.nx)) ** 2
+        coarse = np.tensordot(weights, fields.real**2 + fields.imag**2, axes=1)
+        if (my, mx) == grid.shape:
+            return coarse
+        band = np.fft.rfft2(coarse, norm="forward")
+        padded = np.zeros((grid.ny, grid.nx // 2 + 1), dtype=complex)
+        cols = slice(0, half_x + 1) if mx < grid.nx else slice(None)
+        if my < grid.ny:
+            padded[: half_y + 1, cols] = band[: half_y + 1, cols]
+            padded[grid.ny - half_y :, cols] = band[my - half_y :, cols]
+        else:
+            padded[:, cols] = band[:, cols]
+        return np.fft.irfft2(padded, s=grid.shape, norm="forward")
 
     def kernel_set(self, grid: Grid, defocus_nm: float) -> KernelSet:
         """The cached (or freshly built) kernels for this grid and focus.
@@ -187,17 +182,18 @@ class SOCSEngine:
         fk_x = fx_full[support_iy, support_ix]
         fk_y = fy_full[support_iy, support_ix]
         sx, sy, weights = self.optics.source.arrays()
-        # A[s, k] = sqrt(w_s) * P(f_k + f_s); TCC = A^H A.
+        # A[s, k] = sqrt(w_s) * P(f_k + f_s); TCC = A^H A.  With the thin
+        # SVD A = U S Vh, the TCC eigenvalues are S**2, and the Hopkins
+        # kernels -- the conjugated TCC eigenvectors -- are the rows of
+        # Vh.  A has one row per source point, so its thin SVD costs far
+        # less than decomposing the support-by-support TCC.
         amplitudes = np.empty((len(weights), len(fk_x)), dtype=complex)
         for row, (px, py, w) in enumerate(zip(sx * f_max, sy * f_max, weights)):
             amplitudes[row] = np.sqrt(w) * self.pupil.evaluate(
                 fk_x + px, fk_y + py, defocus_nm
             )
-        tcc = amplitudes.conj().T @ amplitudes
-        eigenvalues, eigenvectors = np.linalg.eigh(tcc)
-        order = np.argsort(eigenvalues)[::-1]
-        eigenvalues = np.maximum(eigenvalues[order], 0.0)
-        eigenvectors = eigenvectors[:, order]
+        _, singular, kernel_rows = np.linalg.svd(amplitudes, full_matrices=False)
+        eigenvalues = singular**2
         total = float(eigenvalues.sum()) or 1.0
         keep = min(self.max_kernels, len(eigenvalues))
         cutoff = self.eigen_cutoff * eigenvalues[0] if len(eigenvalues) else 0.0
@@ -206,8 +202,23 @@ class SOCSEngine:
         kept = eigenvalues[:keep]
         return KernelSet(
             eigenvalues=kept,
-            eigenvectors=eigenvectors[:, :keep].T.copy(),
+            eigenvectors=kernel_rows[:keep].copy(),
             support_iy=support_iy,
             support_ix=support_ix,
             truncation_energy=float(kept.sum()) / total,
         )
+
+
+def _band(index: np.ndarray, n: int) -> Tuple[int, int, np.ndarray]:
+    """Coarse-grid layout of one axis of the kernel support.
+
+    Returns ``(m, half, coarse)``: the coarse length, the intensity
+    half-band ``2K`` (``K`` the largest signed support index), and the
+    support indices wrapped onto the coarse axis.  The coarse length is
+    the smallest FFT-friendly one that is at least ``4K+1``, or ``n``
+    when that would be no shorter.
+    """
+    signed = (index + n // 2) % n - n // 2
+    half = 2 * int(np.abs(signed).max())
+    m = min(next_fast_len(2 * half + 1, real=True), n)
+    return m, half, signed % m

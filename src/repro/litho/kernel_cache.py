@@ -1,10 +1,11 @@
 """Persistent fingerprint-keyed SOCS kernel cache.
 
-Building a Hopkins TCC decomposition costs seconds per (grid shape,
-defocus) combination, and it is pure function of the optical
-configuration -- nothing about a particular mask enters it.  Before this
-module every process rebuilt its own decompositions: each multiprocessing
-worker of a tiled OPC run, every CLI invocation, every benchmark round.
+Building a SOCS kernel set costs tens of milliseconds per (grid shape,
+defocus) combination, up to about 0.2 s on the largest windows, and it
+is a pure function of the optical configuration -- nothing about a
+particular mask enters it.  Before this module every process rebuilt
+its own kernels: each multiprocessing worker of a tiled OPC run, every
+CLI invocation, every benchmark round.
 
 :class:`KernelStore` amortises that cost across processes and runs:
 
@@ -54,7 +55,9 @@ from ..obs import count as _obs_count
 MAGIC = b"RPROKC\x01\n"
 
 #: On-disk format version written into (and required from) the header.
-FORMAT_VERSION = 1
+#: Version 2 stores the Hopkins kernels (the conjugated TCC
+#: eigenvectors); version-1 entries held the unconjugated ones.
+FORMAT_VERSION = 2
 
 #: Filename suffix of cache entries.
 SUFFIX = ".kc"
@@ -93,7 +96,7 @@ class KernelSet:
     """
 
     eigenvalues: np.ndarray  # (n_kernels,), descending
-    eigenvectors: np.ndarray  # (n_kernels, K) on the support
+    eigenvectors: np.ndarray  # (n_kernels, K) kernel spectra on the support
     support_iy: np.ndarray  # (K,)
     support_ix: np.ndarray  # (K,)
     truncation_energy: float  # fraction of TCC trace retained

@@ -46,8 +46,9 @@ class LithoConfig:
     aberrations: Aberrations = field(default_factory=Aberrations)
     max_kernels: int = 24
     #: Above this Hopkins frequency-support size, single images fall back
-    #: to the Abbe engine: building the TCC stops amortising for windows
-    #: simulated once (tiled OPC keeps every window small and cached).
+    #: to the Abbe engine.  Kernel builds are cheap at any support size;
+    #: the limit stays because moving those windows to truncated SOCS
+    #: would change their images.
     socs_support_limit: int = 3000
 
     def __post_init__(self) -> None:
@@ -92,7 +93,7 @@ class LithoSimulator:
         Tiled OPC calls this in the parent before fanning jobs out to a
         worker pool: with a persistent kernel store attached, one build
         here turns every worker's first simulation into an mmap load
-        instead of a TCC decomposition.  Returns the number of distinct
+        instead of a kernel build of its own.  Returns the number of distinct
         kernel sets ensured (grids quantise, so a whole tile grid usually
         collapses to one or two shapes).
         """

@@ -7,6 +7,7 @@ from repro.errors import LithoError
 from repro.geometry import Rect, Region
 from repro.litho import (
     AbbeEngine,
+    Aberrations,
     Grid,
     SOCSEngine,
     attpsm_mask,
@@ -62,6 +63,39 @@ class TestAbbeVsSOCS:
             line_mask_field, small_grid, defocus_nm=300
         )
         assert np.abs(abbe - socs).max() < 2e-3
+
+    @pytest.mark.parametrize(
+        "aberrations, defocus_nm",
+        [
+            (Aberrations(coma_x=0.05), 0.0),
+            (Aberrations(coma_x=0.05, astigmatism_45=0.05), 200.0),
+        ],
+        ids=["coma", "coma-astig-defocus"],
+    )
+    def test_engines_agree_under_odd_aberrations(
+        self, small_grid, aberrations, defocus_nm
+    ):
+        """With every kernel kept, SOCS is Abbe, odd pupil phase included.
+
+        Hopkins kernels are the conjugated TCC eigenvectors; unconjugated
+        ones mirror the image under odd aberrations such as coma, which
+        is invisible for a perfect lens.
+        """
+        mask = binary_mask(
+            Region.from_rects(
+                [
+                    Rect(-400, -300, -220, 500),
+                    Rect(-60, -500, 120, 100),
+                    Rect(200, 150, 520, 330),
+                ]
+            )
+        ).field(small_grid)
+        optics = krf_annular()
+        abbe = AbbeEngine(optics, aberrations).image(mask, small_grid, defocus_nm)
+        socs = SOCSEngine(
+            optics, aberrations, max_kernels=200, eigen_cutoff=1e-12
+        ).image(mask, small_grid, defocus_nm)
+        assert np.abs(abbe - socs).max() <= 1e-9
 
     def test_kernel_truncation_energy_reported(self, small_grid):
         optics = krf_annular()
