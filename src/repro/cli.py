@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager, nullcontext
@@ -107,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     correct.add_argument("--cell", help="cell name (default: the top cell)")
     correct.add_argument(
         "--dose",
+        type=_dose_arg,
         default="auto",
         help="relative exposure dose, or 'auto' for dose-to-size on the "
         "node's dense anchor feature",
@@ -238,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--cell", help="cell name (default: the top cell)")
     profile.add_argument("--level", choices=sorted(_LEVELS), default="model")
     profile.add_argument("--node", choices=sorted(_NODES), default="180nm")
-    profile.add_argument("--dose", default="auto")
+    profile.add_argument("--dose", type=_dose_arg, default="auto")
     profile.add_argument(
         "--max-iterations", type=int, default=None,
         help="cap model-OPC iterations (default: recipe default)",
@@ -308,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="none,rule,model",
         help="comma-separated correction levels to compare",
     )
-    report.add_argument("--dose", default="auto")
+    report.add_argument("--dose", type=_dose_arg, default="auto")
 
     runs = sub.add_parser(
         "runs", help="inspect and gate on the persistent run ledger"
@@ -667,7 +669,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except OSError as error:
+        # An unreadable input or unwritable output path is bad input too.
+        where = f"{error.filename}: " if error.filename is not None else ""
+        print(f"error: {where}{error.strerror or error}", file=sys.stderr)
+        return 2
     return 0  # pragma: no cover - argparse enforces the choices
+
+
+def _dose_arg(text: str) -> float | str:
+    """A ``--dose`` value: ``auto``, or a positive finite relative dose."""
+    if text == "auto":
+        return text
+    try:
+        dose = float(text)
+    except ValueError:
+        dose = math.nan
+    if not 0.0 < dose < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive number or 'auto', got {text!r}"
+        )
+    return dose
 
 
 def _pick_cell(library: Library, name: Optional[str]):

@@ -1,11 +1,18 @@
 """Exact boolean operations on rectilinear polygons.
 
-The engine is a classic x-sweep over vertical edges.  Every loop of every
-operand contributes winding deltas to a compressed-y count array; between
-consecutive event abscissae the count arrays fully describe coverage, and a
-boolean predicate over them yields the slab rectangles of the result.  Slab
-rectangles are re-stitched into maximal polygons by
-:mod:`repro.geometry.stitch`.
+The engine is an x-sweep over vertical edges, run as NumPy array passes.
+The unique edge abscissae ``xs`` and ordinates ``ys`` of all operands span
+a compressed grid whose cells are *slabs* (between consecutive ``xs``) by
+*intervals* (between consecutive ``ys``).  Each vertical edge is a winding
+delta on that grid: a difference array summed along y, then along x,
+gives every operand's winding number on every cell, and one elementwise
+predicate over those arrays marks the covered cells.  The maximal runs of
+covered cells, slab by slab in increasing y, are the result's slab
+rectangles; :mod:`repro.geometry.stitch` joins the same runs into maximal
+loops.  Slabs are processed in chunks of at most :data:`_CHUNK_CELLS`
+grid cells, with the running counts carried from one chunk to the next,
+so temporaries are bounded by the chunk and the output rather than by the
+whole grid.
 
 Coordinates are exact integers throughout, so results are exact: no epsilon
 tolerances, no slivers from floating-point snapping.
@@ -18,17 +25,20 @@ winding ``+1`` inside, matching the nonzero fill rule.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import GeometryError
 from .point import Coord
 from .rect import Rect
+from .stitch import stitch_slabs, value_runs
 
 Loop = Sequence[Coord]
 
-#: A boolean predicate over per-operand winding-count arrays.
+#: A boolean predicate over per-operand winding-count arrays (see
+#: :func:`sweep_rects` for the array contract).
 Predicate = Callable[[Sequence[np.ndarray]], np.ndarray]
 
 PREDICATES: Dict[str, Predicate] = {
@@ -38,98 +48,158 @@ PREDICATES: Dict[str, Predicate] = {
     "xor": lambda counts: (counts[0] != 0) ^ (counts[1] != 0),
 }
 
+#: Most grid cells (slabs x intervals) one chunk of the sweep holds.
+_CHUNK_CELLS = 1 << 20
+
+#: One operand's vertical edges: parallel arrays ``(x, ylo, yhi, w)``.
+_Edges = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+#: ``(xs, ys, chunks)``: the grid lines and an iterator of
+#: ``(first slab, coverage mask)`` chunks in slab order.
+_Sweep = Tuple[np.ndarray, np.ndarray, Iterator[Tuple[int, np.ndarray]]]
+
 
 def sweep_rects(
     operands: Sequence[Sequence[Loop]], predicate: Predicate
 ) -> List[Rect]:
     """Decompose ``predicate(operands)`` into disjoint slab rectangles.
 
-    ``operands`` is a list of polygon sets, each a list of loops; the
-    predicate receives one winding-count array per operand (indexed over the
-    elementary y-intervals of the compressed grid) and returns a boolean
-    mask of covered intervals.
+    ``operands`` is a list of polygon sets, each a list of loops.  The
+    predicate receives one 2-D winding-count array per operand, of shape
+    ``(slabs, intervals)`` for a chunk of consecutive slabs, and returns a
+    boolean array of the same shape marking the covered cells.  It is
+    called once per chunk, so it must be elementwise: a cell's result may
+    depend only on the operands' counts at that cell.
 
     Returned rectangles are disjoint, sorted by x then y, and each spans a
-    single slab of the sweep with maximal y-extent.
+    single slab of the sweep with maximal y-extent.  Coordinates are
+    Python ints.
     """
-    edges = [_vertical_edges(loops) for loops in operands]
-    total = sum(len(e) for e in edges)
-    if total == 0:
+    swept = _sweep(operands, predicate)
+    if swept is None:
         return []
-
-    ys = np.unique(np.concatenate([e[:, 1:3].ravel() for e in edges if len(e)]))
-    if len(ys) < 2:
-        return []
-    y_index = {int(y): i for i, y in enumerate(ys)}
-
-    # events[x] -> list of (operand, iy1, iy2, weight)
-    events: Dict[int, List[Tuple[int, int, int, int]]] = {}
-    for op_idx, edge_arr in enumerate(edges):
-        for x, y1, y2, w in edge_arr:
-            events.setdefault(int(x), []).append(
-                (op_idx, y_index[int(y1)], y_index[int(y2)], int(w))
-            )
-
-    xs = sorted(events)
-    counts = [np.zeros(len(ys) - 1, dtype=np.int32) for _ in operands]
+    xs, ys, chunks = swept
     rects: List[Rect] = []
-    prev_x = xs[0]
-    for x in xs:
-        if x != prev_x:
-            mask = predicate(counts)
-            if mask.any():
-                _emit_slab(rects, mask, ys, prev_x, x)
-            prev_x = x
-        for op_idx, i1, i2, w in events[x]:
-            counts[op_idx][i1:i2] += w
-    for c in counts:
-        if c.any():  # pragma: no cover - indicates an unclosed input loop
-            raise GeometryError("boolean sweep ended with open coverage")
+    for first, mask in chunks:
+        slab, lo, hi, _ = value_runs(mask.view(np.int8))
+        slab += first
+        rects.extend(
+            map(
+                Rect,
+                xs[slab].tolist(),
+                ys[lo].tolist(),
+                xs[slab + 1].tolist(),
+                ys[hi].tolist(),
+            )
+        )
     return rects
 
 
-def _emit_slab(
-    rects: List[Rect], mask: np.ndarray, ys: np.ndarray, x1: int, x2: int
-) -> None:
-    """Append one rect per maximal run of covered y-intervals."""
-    padded = np.concatenate(([False], mask, [False]))
-    delta = np.diff(padded.astype(np.int8))
-    starts = np.flatnonzero(delta == 1)
-    stops = np.flatnonzero(delta == -1)
-    for lo, hi in zip(starts, stops):
-        rects.append(Rect(x1, int(ys[lo]), x2, int(ys[hi])))
+def _sweep(
+    operands: Sequence[Sequence[Loop]], predicate: Predicate
+) -> Optional[_Sweep]:
+    """The compressed grid of ``operands`` and its lazily swept coverage.
+
+    ``None`` when no operand has a vertical edge.
+    """
+    edges = [_vertical_edges(loops) for loops in operands]
+    if not any(len(x) for x, _lo, _hi, _w in edges):
+        return None
+    xs = np.unique(np.concatenate([x for x, _lo, _hi, _w in edges]))
+    ys = np.unique(np.concatenate([c for _x, lo, hi, _w in edges for c in (lo, hi)]))
+    return xs, ys, _coverage_chunks(xs, ys, edges, predicate)
 
 
-def _vertical_edges(loops: Sequence[Loop]) -> np.ndarray:
-    """Extract all vertical edges of ``loops`` as rows ``(x, ylo, yhi, w)``.
+def _coverage_chunks(
+    xs: np.ndarray, ys: np.ndarray, edges: Sequence[_Edges], predicate: Predicate
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """Yield ``(first slab, mask)`` for consecutive chunks of slabs.
+
+    Row ``i`` of the counts is the winding after every edge at ``xs[i]``
+    or left of it, i.e. on slab ``i``; the row after the last abscissa
+    must be zero everywhere.
+    """
+    nx, ny = len(xs), len(ys)
+    ops = []
+    for x, lo, hi, w in edges:
+        row = xs.searchsorted(x)
+        order = row.argsort()
+        ops.append(
+            (row[order], ys.searchsorted(lo[order]), ys.searchsorted(hi[order]), w[order])
+        )
+    carry = [np.zeros(ny, dtype=np.int32) for _ in ops]
+    step = max(1, _CHUNK_CELLS // ny)
+    for first in range(0, nx, step):
+        stop = min(first + step, nx)
+        counts = []
+        for k, (row, lo, hi, w) in enumerate(ops):
+            a, b = row.searchsorted((first, stop))
+            if a == b and not carry[k].any():
+                counts.append(np.zeros((stop - first, ny - 1), dtype=np.int32))
+                continue
+            # Column ny - 1 only ever receives the closing -w of the topmost
+            # edges, so after the y sum it is zero and is dropped.
+            acc = np.zeros((stop - first, ny), dtype=np.int32)
+            local = row[a:b] - first
+            np.add.at(acc, (local, lo[a:b]), w[a:b])
+            np.subtract.at(acc, (local, hi[a:b]), w[a:b])
+            acc.cumsum(axis=1, out=acc)
+            acc[0] += carry[k]
+            acc.cumsum(axis=0, out=acc)
+            carry[k] = acc[-1].copy()
+            counts.append(acc[:, :-1])
+        slabs = min(stop, nx - 1) - first
+        if slabs > 0:
+            yield first, predicate([c[:slabs] for c in counts])
+    if any(c.any() for c in carry):  # pragma: no cover - an unclosed input loop
+        raise GeometryError("boolean sweep ended with open coverage")
+
+
+def _vertical_edges(loops: Sequence[Loop]) -> _Edges:
+    """Extract all vertical edges of ``loops`` as arrays ``(x, ylo, yhi, w)``.
 
     ``w`` is ``+1`` for downward edges (interior-right winding convention)
-    and ``-1`` for upward edges.  Horizontal edges carry no winding
-    information for an x-sweep and are skipped.
+    and ``-1`` for upward edges.  Loops of fewer than 4 vertices are
+    skipped; horizontal and zero-length edges carry no winding information
+    for an x-sweep and are dropped.  The first edge in loop order that is
+    neither horizontal nor vertical raises :class:`GeometryError`.
     """
-    rows: List[Tuple[int, int, int, int]] = []
-    for loop in loops:
-        n = len(loop)
-        if n < 4:
-            continue
-        for i in range(n):
-            x1, y1 = loop[i]
-            x2, y2 = loop[(i + 1) % n]
-            if x1 != x2:
-                if y1 != y2:
-                    raise GeometryError(
-                        f"non-rectilinear edge ({x1},{y1})->({x2},{y2})"
-                    )
-                continue
-            if y1 == y2:
-                continue
-            if y2 < y1:
-                rows.append((x1, y2, y1, 1))
-            else:
-                rows.append((x1, y1, y2, -1))
-    if not rows:
-        return np.empty((0, 4), dtype=np.int64)
-    return np.array(rows, dtype=np.int64)
+    kept = [loop for loop in loops if len(loop) >= 4]
+    lengths = np.fromiter(map(len, kept), dtype=np.intp, count=len(kept))
+    n = int(lengths.sum())
+    flat = np.fromiter(
+        chain.from_iterable(chain.from_iterable(kept)), dtype=np.int64, count=2 * n
+    )
+    x1, y1 = flat[0::2], flat[1::2]
+    # Each vertex's successor, wrapping around at the end of its loop.
+    ends = lengths.cumsum()
+    succ = np.arange(1, n + 1)
+    succ[ends - 1] = ends - lengths
+    x2, y2 = x1[succ], y1[succ]
+    diagonal = (x1 != x2) & (y1 != y2)
+    if diagonal.any():
+        i = int(np.argmax(diagonal))
+        raise GeometryError(
+            f"non-rectilinear edge ({x1[i]},{y1[i]})->({x2[i]},{y2[i]})"
+        )
+    vertical = (x1 == x2) & (y1 != y2)
+    x, y1, y2 = x1[vertical], y1[vertical], y2[vertical]
+    down = y2 < y1
+    return (
+        x,
+        np.where(down, y2, y1),
+        np.where(down, y1, y2),
+        np.where(down, 1, -1).astype(np.int32),
+    )
+
+
+def _predicate(op: str) -> Predicate:
+    try:
+        return PREDICATES[op]
+    except KeyError:
+        raise GeometryError(
+            f"unknown boolean op {op!r}; expected one of {sorted(PREDICATES)}"
+        ) from None
 
 
 def boolean_rects(
@@ -142,13 +212,7 @@ def boolean_rects(
     overlapping or self-touching loops within one operand are handled
     correctly.
     """
-    try:
-        predicate = PREDICATES[op]
-    except KeyError:
-        raise GeometryError(
-            f"unknown boolean op {op!r}; expected one of {sorted(PREDICATES)}"
-        ) from None
-    return sweep_rects([list(a_loops), list(b_loops)], predicate)
+    return sweep_rects([list(a_loops), list(b_loops)], _predicate(op))
 
 
 def boolean_loops(
@@ -159,6 +223,7 @@ def boolean_loops(
     Outer boundaries come back counter-clockwise and holes clockwise, with
     collinear vertices removed.
     """
-    from .stitch import stitch_rects  # local import to avoid a cycle
-
-    return stitch_rects(boolean_rects(a_loops, b_loops, op))
+    swept = _sweep([list(a_loops), list(b_loops)], _predicate(op))
+    if swept is None:
+        return []
+    return stitch_slabs(*swept)

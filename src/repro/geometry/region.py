@@ -51,7 +51,8 @@ class Region:
                 self._loops.append(item.points)
         elif isinstance(item, Rect):
             if not item.is_empty:
-                self._loops.append(Polygon.from_rect(item).points)
+                x1, y1, x2, y2 = map(int, item)
+                self._loops.append([(x1, y1), (x2, y1), (x2, y2), (x1, y2)])
         else:
             poly = Polygon(item)  # validates rectilinearity
             if not poly.is_empty:
@@ -143,7 +144,6 @@ class Region:
         px, py = point
         winding = 0
         for lp in self._loops:
-            poly = Polygon(lp, validate=False)
             n = len(lp)
             on_boundary = False
             local = 0
@@ -163,7 +163,6 @@ class Region:
             if on_boundary:
                 return True
             winding += local
-            del poly
         return winding != 0
 
     # -- booleans ----------------------------------------------------------------

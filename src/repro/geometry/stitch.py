@@ -1,142 +1,174 @@
-"""Reconstruction of maximal polygons from disjoint rectangle sets.
+"""Maximal loops from the covered runs of a boolean sweep.
 
-The boolean sweep emits slab rectangles; this module cancels the internal
-edges shared between adjacent slabs and stitches the surviving boundary
-segments back into closed loops.  Because every edge is built with the
-region interior on its left, outer loops emerge counter-clockwise and holes
-clockwise without any post-hoc orientation fixing.
+The sweep in :mod:`repro.geometry.booleans` marks the covered cells of a
+compressed grid one slab (the cells between two consecutive event
+abscissae) at a time.  Every maximal run of covered cells in a slab adds
+its bottom edge, pointing right, and its top edge, pointing left.  At each
+event abscissa the net vertical boundary is where coverage differs between
+the slabs on either side: pointing up where only the left slab is covered,
+down where only the right one is.  Every edge thus has the interior on its
+left, so outer loops emerge counter-clockwise and holes clockwise without
+any post-hoc orientation fixing.
+
+Edges chain into loops by taking, at each end point, the unused out-edge
+that makes the leftmost turn, and a walk ends only where no unused
+out-edge is left.  Loops are therefore not always simple where the region
+pinches at a vertex: two squares touching at a corner come out as two
+loops, but a hole that touches its outer boundary at a vertex comes out
+as part of the outer loop, which visits that vertex twice, and a walk
+that returns to its first vertex with the leftmost out-edge there used
+carries on along the other one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
-from ..errors import GeometryError
+import numpy as np
+
 from .point import Coord
-from .polygon import _strip_degenerate
-from .rect import Rect
 
-_DirectedEdge = Tuple[Coord, Coord]
+#: Edge directions, counter-clockwise: east, north, west, south.
+_EAST, _NORTH, _WEST, _SOUTH = 0, 1, 2, 3
 
-#: Turn preference at a multi-valent vertex, highest first: left, straight,
-#: right, U-turn.  Taking the leftmost available turn keeps each traversed
-#: loop simple when two loops touch at a single corner point.
-_TURN_RANK = {1: 0, 0: 1, -1: 2, -2: 3}
+#: Preference of a turn, lowest first, indexed by the counter-clockwise
+#: quarter turns from the in-edge to the out-edge: left, straight, right,
+#: U-turn.
+_TURN_RANK = np.array([1, 0, 3, 2])
 
 
-def stitch_rects(rects: Sequence[Rect]) -> List[List[Coord]]:
-    """Merge a disjoint rectangle set into maximal oriented loops.
+def value_runs(
+    values: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal runs of one nonzero value along the rows of a 2-D array.
 
-    Rectangles must be interior-disjoint (they may share boundary), as
-    produced by :func:`repro.geometry.booleans.sweep_rects`.  Returns vertex
-    loops with collinear points removed; outer loops are counter-clockwise,
-    holes clockwise.
+    Returns ``(rows, starts, stops, run_values)``; run ``k`` covers columns
+    ``starts[k]`` up to but excluding ``stops[k]`` of row ``rows[k]``.  Runs
+    come in row-major order: by row, then by column.
     """
-    edges = _boundary_edges(rects)
-    if not edges:
+    padded = np.zeros((values.shape[0], values.shape[1] + 2), dtype=values.dtype)
+    padded[:, 1:-1] = values
+    after, before = padded[:, 1:], padded[:, :-1]
+    change = after != before
+    rows, starts = (change & (after != 0)).nonzero()
+    stops = (change & (before != 0)).nonzero()[1]
+    return rows, starts, stops, after[rows, starts]
+
+
+def stitch_slabs(
+    xs: np.ndarray, ys: np.ndarray, chunks: Iterable[Tuple[int, np.ndarray]]
+) -> List[List[Coord]]:
+    """Join the covered runs of a sweep into maximal oriented loops.
+
+    ``chunks`` yields ``(first slab, mask)`` in slab order, ``mask[i, j]``
+    marking the cell of slab ``first + i`` over ``ys[j]..ys[j + 1]``.
+    Returns vertex loops with collinear points removed; outer loops are
+    counter-clockwise, holes clockwise.  Edge ``2k`` is the bottom of run
+    ``k`` in row-major run order and edge ``2k + 1`` its top; loops start
+    at the lowest-numbered unused edge, in order.
+    """
+    runs: List[Tuple[np.ndarray, ...]] = []
+    sides: List[Tuple[np.ndarray, ...]] = []
+    prev = np.zeros(len(ys) - 1, dtype=np.int8)
+    for first, mask in chunks:
+        cover = mask.view(np.int8)
+        slab, lo, hi, _ = value_runs(cover)
+        runs.append((slab + first, lo, hi))
+        # Left coverage minus right coverage at each abscissa of the chunk.
+        change = np.concatenate((prev[None, :], cover[:-1])) - cover
+        event, lo, hi, side = value_runs(change)
+        sides.append((event + first, lo, hi, side))
+        prev = cover[-1]
+    event, lo, hi, side = value_runs(prev[None, :])
+    sides.append((event + len(xs) - 1, lo, hi, side))
+    if not any(len(r[0]) for r in runs):
         return []
-    return _walk_loops(edges)
+    slab, bottom, top = (np.concatenate(a) for a in zip(*runs))
+    event, lo, hi, side = (np.concatenate(a) for a in zip(*sides))
+
+    # Horizontal edges interleaved (bottom, top) per run, then the vertical
+    # ones.  Points are grid indices (column into xs, row into ys).
+    n_runs = len(slab)
+    level = np.array((bottom, top)).T.ravel()
+    up = side > 0
+    start_x = np.concatenate((np.array((slab, slab + 1)).T.ravel(), event))
+    start_y = np.concatenate((level, np.where(up, lo, hi)))
+    end_x = np.concatenate((np.array((slab + 1, slab)).T.ravel(), event))
+    end_y = np.concatenate((level, np.where(up, hi, lo)))
+    direction = np.concatenate(
+        (
+            np.where(np.arange(2 * n_runs) % 2 == 0, _EAST, _WEST),
+            np.where(up, _NORTH, _SOUTH),
+        )
+    )
+
+    first_choice, second_choice = _successors(
+        start_x * len(ys) + start_y, end_x * len(ys) + end_y, direction
+    )
+    order, loop_ends = _walk(first_choice.tolist(), second_choice.tolist(), 2 * n_runs)
+
+    # Keep a vertex only where the edge direction turns.
+    seq = np.array(order, dtype=np.int64)
+    ends = np.array(loop_ends, dtype=np.int64)
+    starts = np.concatenate(([0], ends[:-1]))
+    before = np.arange(-1, len(seq) - 1)
+    before[starts] = ends - 1
+    turn = direction[seq] != direction[seq[before]]
+    corner = seq[turn]
+    points = list(zip(xs[start_x[corner]].tolist(), ys[start_y[corner]].tolist()))
+    bounds = [0] + turn.cumsum()[ends - 1].tolist()
+    return [points[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _boundary_edges(rects: Sequence[Rect]) -> List[_DirectedEdge]:
-    """Boundary segments of the union, oriented with the interior on the left.
+def _successors(
+    start_key: np.ndarray, end_key: np.ndarray, direction: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each edge's preferred and fallback out-edge at its end point.
 
-    Vertical sides of slab-adjacent rects overlap with opposite direction and
-    cancel; horizontal sides of disjoint slabs never overlap and are kept
-    as-is.
+    An end point has one out-edge, or two where loops pinch at a vertex;
+    the preferred one makes the leftmost turn.  The fallback is ``-1``
+    where there is only one.
     """
-    edges: List[_DirectedEdge] = []
-    # Vertical side cancellation: at each x, +1 coverage for right sides
-    # (pointing up) and -1 for left sides (pointing down).
-    vertical: Dict[int, List[Tuple[int, int]]] = {}
-    for r in rects:
-        if r.is_empty:
-            continue
-        vertical.setdefault(r.x2, []).extend([(r.y1, 1), (r.y2, -1)])
-        vertical.setdefault(r.x1, []).extend([(r.y1, -1), (r.y2, 1)])
-        edges.append(((r.x1, r.y1), (r.x2, r.y1)))  # bottom, interior above
-        edges.append(((r.x2, r.y2), (r.x1, r.y2)))  # top, interior below
-    for x, deltas in vertical.items():
-        deltas.sort()
-        level = 0
-        run_start = 0
-        for y, d in deltas:
-            new_level = level + d
-            if level == 0 and new_level != 0:
-                run_start = y
-            elif level != 0 and (new_level == 0 or (level > 0) != (new_level > 0)):
-                _append_vertical(edges, x, run_start, y, level)
-                run_start = y
-            level = new_level
-        if level != 0:  # pragma: no cover - disjointness violated upstream
-            raise GeometryError(f"unbalanced vertical boundary at x={x}")
-    return edges
+    n = len(start_key)
+    order = start_key.argsort(kind="stable")
+    keys = start_key[order]
+    at = keys.searchsorted(end_key)
+    near = order[at]
+    nxt = np.minimum(at + 1, n - 1)
+    two = (at + 1 < n) & (keys[nxt] == end_key)
+    far = np.where(two, order[nxt], -1)
+    rank_near = _TURN_RANK[(direction[near] - direction) % 4]
+    rank_far = _TURN_RANK[(direction[far] - direction) % 4]
+    swap = two & (rank_far < rank_near)
+    return np.where(swap, far, near), np.where(swap, near, far)
 
 
-def _append_vertical(
-    edges: List[_DirectedEdge], x: int, y1: int, y2: int, level: int
-) -> None:
-    """Append a net vertical boundary segment (skip zero-length runs)."""
-    if y1 == y2:
-        return
-    if level > 0:  # net right side: interior to the left when pointing up
-        edges.append(((x, y1), (x, y2)))
-    else:  # net left side: interior to the left when pointing down
-        edges.append(((x, y2), (x, y1)))
+def _walk(
+    first: Sequence[int], second: Sequence[int], n_seeds: int
+) -> Tuple[List[int], List[int]]:
+    """Chain edges into closed walks, each seeded by the lowest unused edge.
 
-
-def _walk_loops(edges: List[_DirectedEdge]) -> List[List[Coord]]:
-    """Chain directed edges into closed loops, leftmost-turn at junctions."""
-    out_map: Dict[Coord, List[int]] = {}
-    for idx, (start, _end) in enumerate(edges):
-        out_map.setdefault(start, []).append(idx)
-
-    used = [False] * len(edges)
-    loops: List[List[Coord]] = []
-    for seed in range(len(edges)):
+    From each edge the walk takes its preferred successor if unused, else
+    its fallback if unused, else the walk is closed.  Only the first
+    ``n_seeds`` edges are tried as seeds: every closed walk contains one
+    of them.  Returns the edge sequence and each walk's end offset in it.
+    """
+    used = bytearray(len(first))
+    order: List[int] = []
+    visit = order.append
+    ends: List[int] = []
+    for seed in range(n_seeds):
         if used[seed]:
             continue
-        loop: List[Coord] = []
-        idx = seed
-        while not used[idx]:
-            used[idx] = True
-            start, end = edges[idx]
-            loop.append(start)
-            candidates = [j for j in out_map.get(end, ()) if not used[j]]
-            if not candidates:
-                if end != edges[seed][0]:  # pragma: no cover - broken input
-                    raise GeometryError(f"open boundary chain at {end}")
-                break
-            idx = _pick_leftmost(edges, start, end, candidates)
-        simplified = _strip_degenerate(loop)
-        if simplified:
-            loops.append(simplified)
-    return loops
-
-
-def _pick_leftmost(
-    edges: List[_DirectedEdge], start: Coord, end: Coord, candidates: List[int]
-) -> int:
-    """Choose the outgoing edge making the leftmost turn from ``start->end``."""
-    if len(candidates) == 1:
-        return candidates[0]
-    din = (_sign(end[0] - start[0]), _sign(end[1] - start[1]))
-
-    def rank(j: int) -> int:
-        _s, e = edges[j]
-        dout = (_sign(e[0] - end[0]), _sign(e[1] - end[1]))
-        cross = din[0] * dout[1] - din[1] * dout[0]
-        if cross != 0:
-            return _TURN_RANK[cross]
-        dot = din[0] * dout[0] + din[1] * dout[1]
-        return _TURN_RANK[0] if dot > 0 else _TURN_RANK[-2]
-
-    return min(candidates, key=rank)
-
-
-def _sign(v: int) -> int:
-    if v > 0:
-        return 1
-    if v < 0:
-        return -1
-    return 0
+        edge = seed
+        while True:
+            used[edge] = 1
+            visit(edge)
+            nxt = first[edge]
+            if used[nxt]:
+                nxt = second[edge]
+                if nxt < 0 or used[nxt]:
+                    break
+            edge = nxt
+        ends.append(len(order))
+    return order, ends

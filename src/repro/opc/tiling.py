@@ -328,6 +328,7 @@ def model_opc_tiled(
 
     corrected = Region()
     history: List[IterationStats] = []
+    tile_finals: List[Tuple[int, IterationStats]] = []
     fragments = 0
     converged = True
     tile_mrc: Optional[List[dict]] = [] if mrc_rules is not None else None
@@ -335,6 +336,8 @@ def model_opc_tiled(
         converged = converged and tile_converged
         fragments += tile_fragments
         history.extend(tile_history)
+        if tile_history:
+            tile_finals.append((tile_fragments, tile_history[-1]))
         if tile_mrc is not None and tile_findings:
             tile_mrc.extend(tile_findings)
         corrected._add(stitched)
@@ -347,6 +350,7 @@ def model_opc_tiled(
         converged=converged,
         fragment_count=fragments,
         tile_mrc=tile_mrc,
+        tile_finals=tile_finals,
     )
 
 

@@ -40,6 +40,26 @@ class TestOPCResult:
         assert result.final_max_epe_nm == 2.0
         assert result.iterations == 2
 
+    def test_tiled_epe_combines_every_tile_final_iterate(self):
+        result = self.make(
+            [IterationStats(1, 9.0, 20.0, 8, 0), IterationStats(1, 1.0, 2.0, 4, 0)]
+        )
+        # Tile 0 measured 8 - 2 sites at RMS 3, tile 1 all 4 at RMS 1;
+        # tile 2 lost every site and measured nothing.
+        result.tile_finals = [
+            (8, IterationStats(2, 3.0, 7.0, 5, 2)),
+            (4, IterationStats(2, 1.0, 2.0, 4, 0)),
+            (3, IterationStats(1, float("inf"), float("inf"), 0, 3)),
+        ]
+        assert result.final_rms_epe_nm == ((9.0 * 6 + 1.0 * 4) / 10) ** 0.5
+        assert result.final_max_epe_nm == 7.0
+        result.tile_finals = [(3, IterationStats(1, float("inf"), float("inf"), 0, 3))]
+        assert result.final_rms_epe_nm == float("inf")
+        assert result.final_max_epe_nm == float("inf")
+        result.tile_finals = []
+        assert result.final_rms_epe_nm is None
+        assert result.final_max_epe_nm is None
+
     def test_figure_growth(self):
         result = self.make()
         target_vertices, corrected_vertices = result.figure_growth()

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.errors import OPCError
-from repro.geometry import Rect, Region
+from repro.geometry import Rect, Region, fragment_region
 from repro.litho import binary_mask
 from repro.opc import ModelOPCRecipe, TilingSpec, model_opc, model_opc_tiled
-from repro.opc.tiling import _tile_grid
+from repro.opc.tiling import _tile_grid, plan_tiles
 
 
 class TestTileGrid:
@@ -110,3 +110,34 @@ class TestTiledOPC:
             dose=anchor_dose,
         )
         assert len(result.history) >= 2  # at least one entry per busy tile
+
+    def test_final_epe_covers_every_tile(self, simulator, anchor_dose, mixed_lines):
+        """The block EPE is over all tiles' final iterates, not the last tile's."""
+        recipe = ModelOPCRecipe(max_iterations=2)
+        tiling = TilingSpec(tile_nm=1500, halo_nm=600)
+        window = Rect(-1200, -1600, 1400, 1600)
+        result = model_opc_tiled(
+            mixed_lines, simulator, window, recipe, tiling=tiling, dose=anchor_dose
+        )
+        # Each tile's history restarts at iteration 1; its last entry is its
+        # final iterate, whose RMS covers its fragments minus missing edges.
+        finals = []
+        for stats in result.history:
+            if stats.iteration == 1:
+                finals.append(stats)
+            else:
+                finals[-1] = stats
+        plans = plan_tiles(mixed_lines.merged(), window, tiling, simulator.config.ambit_nm)
+        sites = [
+            sum(len(loop) for loop in fragment_region(plan.context, recipe.fragmentation))
+            for plan in plans
+        ]
+        assert len(finals) == len(sites) >= 2
+        counted = [n - stats.missing_edges for n, stats in zip(sites, finals)]
+        rms = (
+            sum(stats.rms_epe_nm ** 2 * n for n, stats in zip(counted, finals))
+            / sum(counted)
+        ) ** 0.5
+        assert result.final_rms_epe_nm == pytest.approx(rms, rel=1e-12)
+        assert result.final_max_epe_nm == max(stats.max_epe_nm for stats in finals)
+        assert result.final_rms_epe_nm != pytest.approx(finals[-1].rms_epe_nm)

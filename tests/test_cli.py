@@ -159,6 +159,41 @@ class TestCorrect:
         assert any(span["name"] == "correct" for span in document["spans"])
         assert "wrote trace" in capsys.readouterr().out
 
+class TestBadInput:
+    """Bad input exits 2 with one ``error: ...`` line, not a traceback."""
+
+    def correct(self, gds, tmp_path, *extra, output=None):
+        return main(
+            ["correct", str(gds), "--cell", "INV", "--layer", "3",
+             "--level", "rule", "-o", str(output or tmp_path / "out.gds"), *extra]
+        )
+
+    @pytest.mark.parametrize("dose", ["abc", "-1", "0", "nan", "inf"])
+    def test_dose_must_be_positive_or_auto(self, stdcell_gds, tmp_path, capsys, dose):
+        with pytest.raises(SystemExit) as exit_info:
+            self.correct(stdcell_gds, tmp_path, "--dose", dose)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --dose: expected a positive number or 'auto', got '{dose}'" in err
+        assert "Traceback" not in err
+
+    def test_unwritable_output(self, stdcell_gds, tmp_path, capsys):
+        output = tmp_path / "missing-dir" / "out.gds"
+        assert self.correct(stdcell_gds, tmp_path, "--dose", "1.0", output=output) == 2
+        assert capsys.readouterr().err.startswith(f"error: {output}: ")
+
+    def test_unwritable_trace(self, stdcell_gds, tmp_path, capsys):
+        trace = tmp_path / "missing-dir" / "trace.json"
+        code = self.correct(stdcell_gds, tmp_path, "--dose", "1.0", "--trace", str(trace))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {trace}: ")
+
+    def test_missing_input_gds(self, tmp_path, capsys):
+        gds = tmp_path / "missing.gds"
+        assert self.correct(gds, tmp_path, "--dose", "1.0") == 2
+        assert capsys.readouterr().err == f"error: {gds}: No such file or directory\n"
+
+
 class TestProfile:
     def test_profile_quickstart_smoke(self, capsys):
         """`repro profile` on the built-in quickstart pattern exits 0."""
