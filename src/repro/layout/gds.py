@@ -244,15 +244,20 @@ class GDSReader:
     """Parses a GDSII stream back into a :class:`Library`."""
 
     def read(self, source: Union[str, Path, bytes, BinaryIO]) -> Library:
-        """Parse ``source`` and return the reconstructed library."""
+        """Parse ``source`` and return the reconstructed library.
+
+        A :class:`GDSError` from a stream read from a path names the path.
+        """
         if isinstance(source, (str, Path)):
             with open(source, "rb") as stream:
                 data = stream.read()
-        elif isinstance(source, bytes):
-            data = source
-        else:
-            data = source.read()
-        return self._parse(data)
+            try:
+                return self._parse(data)
+            except GDSError as error:
+                raise GDSError(f"{source}: {error}") from None
+        if isinstance(source, bytes):
+            return self._parse(source)
+        return self._parse(source.read())
 
     def _parse(self, data: bytes) -> Library:
         records = list(_iter_records(data))

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..geometry import Coord, Rect, Region
 from ..geometry.measure import EdgeIndex
 from ..geometry.spatial import GridIndex
@@ -206,11 +208,18 @@ def check_forbidden_pitch(ctx: LintContext) -> Iterator[Diagnostic]:
     if merged.is_empty:
         return
     reach = max(int(r.high_pitch_nm) for r in ctx.pitch_restrictions) + 1
-    index = EdgeIndex(merged)
+    probes = list(_edge_probes(merged))
+    midpoints = np.array([midpoint for midpoint, _normal in probes])
+    normals = np.array([normal for _midpoint, normal in probes])
+    # Space outward, then width inward, for every edge in one query.
+    found = EdgeIndex(merged).ray_distances(
+        np.vstack((midpoints, midpoints)), np.vstack((normals, -normals)), reach
+    ).tolist()
     boxes_by_restriction: dict = {}
-    for midpoint, normal in _edge_probes(merged):
-        space, width = index.clearances(midpoint, normal, reach)
-        if space is None or width is None:
+    for (midpoint, _normal), space, width in zip(
+        probes, found[: len(probes)], found[len(probes) :]
+    ):
+        if space == EdgeIndex.NO_HIT or width == EdgeIndex.NO_HIT:
             continue
         pitch = width + space
         for restriction in ctx.pitch_restrictions:

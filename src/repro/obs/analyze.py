@@ -41,6 +41,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Type,
     Union,
 )
 
@@ -544,12 +545,22 @@ def _toml_scalar(text: str, lineno: int) -> Any:
 
 
 def _load_toml(path: Path) -> Dict[str, Any]:
+    """The tables of TOML file ``path``; malformed files raise :class:`ReproError`.
+
+    Invalid UTF-8 and TOML syntax errors (from :mod:`tomllib`, or from the
+    subset parser before Python 3.11) become one error naming the file.
+    """
+    malformed: Type[Exception]
     try:
         import tomllib
     except ModuleNotFoundError:  # Python < 3.11
-        return _parse_minimal_toml(path.read_text(encoding="utf-8"))
-    with open(path, "rb") as handle:
-        return tomllib.load(handle)
+        parse, malformed = _parse_minimal_toml, ReproError
+    else:
+        parse, malformed = tomllib.loads, tomllib.TOMLDecodeError
+    try:
+        return parse(path.read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, malformed) as error:
+        raise ReproError(f"{path}: {error}") from None
 
 
 def _slo_from_table(metric: str, table: Any) -> SLO:

@@ -10,7 +10,10 @@ rule-based retargeting using the same measurement machinery as rule OPC.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import List
+
+import numpy as np
 
 from ..errors import OPCError
 from ..geometry import (
@@ -58,18 +61,24 @@ def retarget(target: Region, rules: RetargetRules) -> Region:
     if merged.is_empty:
         return merged
     loops = fragment_region(merged, RETARGET_FRAGMENTATION)
-    index = EdgeIndex(merged)
+    flat = [fragment for fragments in loops for fragment in fragments]
+    midpoints = np.array([f.midpoint for f in flat])
+    normals = np.array([f.normal for f in flat])
+    # Space outward, then width inward, for every fragment in one query.
+    found = EdgeIndex(merged).ray_distances(
+        np.vstack((midpoints, midpoints)),
+        np.vstack((normals, -normals)),
+        rules.measure_range_nm,
+    ).tolist()
+    measured = zip(found[: len(flat)], found[len(flat) :])
     biases: List[List[int]] = []
     for fragments in loops:
         loop_biases = []
-        for fragment in fragments:
-            space, width = index.clearances(
-                fragment.midpoint, fragment.normal, rules.measure_range_nm
-            )
+        for space, width in islice(measured, len(fragments)):
             bias = 0
-            if space is not None and space < rules.min_space_nm:
+            if space != EdgeIndex.NO_HIT and space < rules.min_space_nm:
                 bias = -((rules.min_space_nm - space + 1) // 2)
-            if width is not None and width < rules.min_width_nm:
+            if width != EdgeIndex.NO_HIT and width < rules.min_width_nm:
                 bias = (rules.min_width_nm - width + 1) // 2
             loop_biases.append(bias)
         biases.append(loop_biases)

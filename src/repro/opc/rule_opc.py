@@ -14,6 +14,7 @@ never saw get the wrong correction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import List
 
 from ..errors import OPCError
@@ -64,18 +65,20 @@ def rule_opc(target: Region, recipe: RuleOPCRecipe = RuleOPCRecipe()) -> OPCResu
     if merged.is_empty:
         return OPCResult(target=merged, corrected=merged)
     loops = fragment_region(merged, recipe.fragmentation)
-    index = EdgeIndex(merged)
+    flat = [fragment for fragments in loops for fragment in fragments]
+    distances = EdgeIndex(merged).ray_distances(
+        [f.midpoint for f in flat], [f.normal for f in flat], recipe.measure_range_nm
+    )
+    spaces = iter(distances.tolist())
     biases: List[List[int]] = []
     for fragments in loops:
-        loop_biases = [0] * len(fragments)
+        loop_biases = [
+            recipe.bias_table.bias_for(None if space == EdgeIndex.NO_HIT else space)
+            for space in islice(spaces, len(fragments))
+        ]
         line_end_slots = [
             i for i, f in enumerate(fragments) if f.tag == FragmentTag.LINE_END
         ]
-        for i, fragment in enumerate(fragments):
-            space, _width = index.clearances(
-                fragment.midpoint, fragment.normal, recipe.measure_range_nm
-            )
-            loop_biases[i] = recipe.bias_table.bias_for(space)
         for i in line_end_slots:
             loop_biases[i] += recipe.line_end_extension_nm
             if recipe.hammerhead_extra_nm:

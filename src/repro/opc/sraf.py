@@ -60,13 +60,19 @@ def insert_srafs(features: Region, recipe: SRAFRecipe = SRAFRecipe()) -> Region:
     merged = features.merged()
     if merged.is_empty:
         return Region()
-    index = EdgeIndex(merged)
+    shortest = recipe.min_bar_length_nm + 2 * recipe.end_pullback_nm
+    edges = [
+        (start, end)
+        for loop in merged.loops
+        for start, end in zip(loop, loop[1:] + loop[:1])
+        if abs(end[0] - start[0]) + abs(end[1] - start[1]) >= shortest
+    ]
+    normals = [_outward_normal(start, end) for start, end in edges]
+    midpoints = [((s[0] + e[0]) // 2, (s[1] + e[1]) // 2) for s, e in edges]
+    spaces = EdgeIndex(merged).ray_distances(midpoints, normals, _FAR).tolist()
     bars: List[Rect] = []
-    for loop in merged.loops:
-        n = len(loop)
-        for i in range(n):
-            start, end = loop[i], loop[(i + 1) % n]
-            bars.extend(_bars_for_edge(start, end, index, recipe))
+    for (start, end), normal, space in zip(edges, normals, spaces):
+        bars.extend(_bars_for_edge(start, end, normal, space, recipe))
     if not bars:
         return Region()
     candidates = Region.from_rects(bars).merged()
@@ -126,18 +132,21 @@ def calibrate_sraf_offset(
     return dataclasses.replace(base_recipe, bar_offset_nm=best_offset), rows
 
 
-def _bars_for_edge(start, end, index: EdgeIndex, recipe: SRAFRecipe) -> List[Rect]:
-    """Candidate bars for one boundary edge (interior-left orientation)."""
+def _outward_normal(start, end) -> Tuple[int, int]:
+    """Outward unit normal of boundary edge ``start->end`` (interior left)."""
     ex, ey = end[0] - start[0], end[1] - start[1]
-    length = abs(ex) + abs(ey)
-    if length < recipe.min_bar_length_nm + 2 * recipe.end_pullback_nm:
-        return []
     dx = (ex > 0) - (ex < 0)
     dy = (ey > 0) - (ey < 0)
-    normal = (dy, -dx)  # outward
-    mid = ((start[0] + end[0]) // 2, (start[1] + end[1]) // 2)
-    space = index.ray_distance(mid, normal, _FAR)
-    if space is None:
+    return (dy, -dx)
+
+
+def _bars_for_edge(start, end, normal, space: int, recipe: SRAFRecipe) -> List[Rect]:
+    """Candidate bars for one boundary edge facing ``space``.
+
+    ``space`` is the measured facing space, or :attr:`EdgeIndex.NO_HIT`
+    when nothing lies within ``_FAR``.
+    """
+    if space == EdgeIndex.NO_HIT:
         space = _FAR
     if space < recipe.single_bar_space_nm:
         return []

@@ -1,6 +1,6 @@
 """Boolean-engine edge cases: degenerate touches, nesting, extremes."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Polygon, Rect, Region
@@ -105,14 +105,34 @@ class TestExtremes:
         max_size=8,
     )
 )
+# One loop that visits (2, 2) twice: a hole pinched against its outer
+# boundary at a vertex.
+@example(seed_rects=[(2, 3, 1, 2), (2, 0, 2, 2), (3, 2, 1, 2), (0, 2, 2, 2)])
 @settings(max_examples=60, deadline=None)
 def test_canonical_loops_are_simple(seed_rects):
-    """Canonical output loops never repeat a vertex (simple polygons)."""
+    """Canonical loops turn at every vertex and touch themselves only at
+    diagonal pinches.
+
+    No vertex equals its successor and no three consecutive vertices are
+    collinear.  A loop may visit a vertex twice, but only where exactly two
+    of the four unit cells around it are covered, diagonally opposite.
+    """
     region = Region.from_rects(
         [Rect(x, y, x + w, y + h) for x, y, w, h in seed_rects]
     ).merged()
     for loop in region.loops:
-        assert len(set(loop)) == len(loop)
+        for i, (bx, by) in enumerate(loop):
+            ax, ay = loop[i - 1]
+            cx, cy = loop[(i + 1) % len(loop)]
+            assert (ax, ay) != (bx, by)
+            assert (bx - ax) * (cy - by) - (by - ay) * (cx - bx) != 0
+        for x, y in {p for p in loop if loop.count(p) > 1}:
+            # Cell centres lower-left, lower-right, upper-left, upper-right.
+            covered = [
+                region.contains_point((x + dx - 0.5, y + dy - 0.5))
+                for dx, dy in ((0, 0), (1, 0), (0, 1), (1, 1))
+            ]
+            assert covered in ([True, False, False, True], [False, True, True, False])
 
 
 @given(

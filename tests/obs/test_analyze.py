@@ -11,6 +11,8 @@ analyze without error.
 
 import math
 import random
+import re
+import sys
 
 import pytest
 
@@ -269,6 +271,27 @@ class TestSLO:
         )
         assert (analyze._parse_minimal_toml(text)
                 == tomllib.loads(text))
+
+    @pytest.mark.parametrize("subset_parser", [False, True])
+    def test_malformed_file_is_a_repro_error_naming_it(
+        self, tmp_path, monkeypatch, subset_parser
+    ):
+        if subset_parser:  # as on Python < 3.11, where tomllib is missing
+            monkeypatch.setitem(sys.modules, "tomllib", None)
+        bad = {
+            "syntax.toml": b'["m"\nobjective = 4.0\n',
+            "latin1.toml": b'["m"]\nobjective = 4.0  # \xb5m\n',
+        }
+        for name, data in bad.items():
+            path = tmp_path / name
+            path.write_bytes(data)
+            with pytest.raises(ReproError, match=re.escape(f"{path}: ")):
+                analyze.load_slos(path)
+        # The default search reads the same files the same way.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "repro-slo.toml").write_bytes(bad["syntax.toml"])
+        with pytest.raises(ReproError, match="^repro-slo.toml: "):
+            analyze.load_slos()
 
 
 class TestAnalyzeRecords:

@@ -193,6 +193,12 @@ class TestBadInput:
         assert self.correct(gds, tmp_path, "--dose", "1.0") == 2
         assert capsys.readouterr().err == f"error: {gds}: No such file or directory\n"
 
+    def test_garbage_input_gds_is_named(self, tmp_path, capsys):
+        gds = tmp_path / "garbage.gds"
+        gds.write_bytes(b"not a GDSII stream")
+        assert main(["stats", str(gds)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {gds}: bad record length ")
+
 
 class TestProfile:
     def test_profile_quickstart_smoke(self, capsys):

@@ -435,7 +435,8 @@ class TestJsonOutput:
 
 
 class TestCorruptLedgerCli:
-    """Broken ledgers exit 2 with a one-line error, never a traceback."""
+    """Broken ledgers and SLO files exit 2 with a one-line error, never a
+    traceback."""
 
     def _assert_graceful(self, argv, capsys, match):
         code = main(argv)
@@ -469,6 +470,14 @@ class TestCorruptLedgerCli:
         self._assert_graceful(
             ["runs", "check", "--strict", "--dir", str(tmp_path)],
             capsys, "insufficient history",
+        )
+
+    def test_malformed_slo_file_errors_one_line(self, tmp_path, capsys):
+        slo = tmp_path / "bad.toml"
+        slo.write_text('["run.wall_s"\nobjective = 1.0\n')
+        self._assert_graceful(
+            ["runs", "check", "--slo", str(slo), "--dir", str(tmp_path)],
+            capsys, f"{slo}: ",
         )
 
     def test_corrupt_runs_jsonl_errors_one_line(self, tmp_path, capsys):
