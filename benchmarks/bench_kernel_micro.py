@@ -57,6 +57,11 @@ def test_micro_sizing(benchmark, dense_region):
     assert result.area > dense_region.area
 
 
+def test_micro_erosion(benchmark, dense_region):
+    result = benchmark(lambda: dense_region.sized(-20))
+    assert 0 < result.area < dense_region.area
+
+
 def test_micro_rasterize(benchmark, dense_region):
     grid = Grid(0, 0, 8.0, 512, 512)
     coverage = benchmark(lambda: rasterize(dense_region, grid))

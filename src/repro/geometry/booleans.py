@@ -14,6 +14,11 @@ grid cells, with the running counts carried from one chunk to the next,
 so temporaries are bounded by the chunk and the output rather than by the
 whole grid.
 
+An operand is a list of loops, or an ``(n, 4)`` int64 array of rects
+``(x1, y1, x2, y2)`` with ``x1 <= x2`` and ``y1 <= y2``.  A rect array enters
+the sweep as winding edges with no per-rect Python object; sizing passes
+its edge bands (:func:`edge_bands`) this way.
+
 Coordinates are exact integers throughout, so results are exact: no epsilon
 tolerances, no slivers from floating-point snapping.
 
@@ -26,7 +31,7 @@ winding ``+1`` inside, matching the nonzero fill rule.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +41,9 @@ from .rect import Rect
 from .stitch import stitch_slabs, value_runs
 
 Loop = Sequence[Coord]
+
+#: One boolean operand: a loop set, or an ``(n, 4)`` int64 rect array.
+Operand = Union[Sequence[Loop], np.ndarray]
 
 #: A boolean predicate over per-operand winding-count arrays (see
 #: :func:`sweep_rects` for the array contract).
@@ -59,12 +67,10 @@ _Edges = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 _Sweep = Tuple[np.ndarray, np.ndarray, Iterator[Tuple[int, np.ndarray]]]
 
 
-def sweep_rects(
-    operands: Sequence[Sequence[Loop]], predicate: Predicate
-) -> List[Rect]:
+def sweep_rects(operands: Sequence[Operand], predicate: Predicate) -> List[Rect]:
     """Decompose ``predicate(operands)`` into disjoint slab rectangles.
 
-    ``operands`` is a list of polygon sets, each a list of loops.  The
+    ``operands`` is a list of operands (loop sets or rect arrays).  The
     predicate receives one 2-D winding-count array per operand, of shape
     ``(slabs, intervals)`` for a chunk of consecutive slabs, and returns a
     boolean array of the same shape marking the covered cells.  It is
@@ -95,14 +101,15 @@ def sweep_rects(
     return rects
 
 
-def _sweep(
-    operands: Sequence[Sequence[Loop]], predicate: Predicate
-) -> Optional[_Sweep]:
+def _sweep(operands: Sequence[Operand], predicate: Predicate) -> Optional[_Sweep]:
     """The compressed grid of ``operands`` and its lazily swept coverage.
 
     ``None`` when no operand has a vertical edge.
     """
-    edges = [_vertical_edges(loops) for loops in operands]
+    edges = [
+        _rect_edges(op) if isinstance(op, np.ndarray) else _vertical_edges(op)
+        for op in operands
+    ]
     if not any(len(x) for x, _lo, _hi, _w in edges):
         return None
     xs = np.unique(np.concatenate([x for x, _lo, _hi, _w in edges]))
@@ -155,13 +162,10 @@ def _coverage_chunks(
         raise GeometryError("boolean sweep ended with open coverage")
 
 
-def _vertical_edges(loops: Sequence[Loop]) -> _Edges:
-    """Extract all vertical edges of ``loops`` as arrays ``(x, ylo, yhi, w)``.
+def _loop_edges(loops: Sequence[Loop]) -> Tuple[np.ndarray, ...]:
+    """Every edge of ``loops`` as arrays ``(x1, y1, x2, y2)``, in loop order.
 
-    ``w`` is ``+1`` for downward edges (interior-right winding convention)
-    and ``-1`` for upward edges.  Loops of fewer than 4 vertices are
-    skipped; horizontal and zero-length edges carry no winding information
-    for an x-sweep and are dropped.  The first edge in loop order that is
+    Loops of fewer than 4 vertices are skipped.  The first edge that is
     neither horizontal nor vertical raises :class:`GeometryError`.
     """
     kept = [loop for loop in loops if len(loop) >= 4]
@@ -182,6 +186,17 @@ def _vertical_edges(loops: Sequence[Loop]) -> _Edges:
         raise GeometryError(
             f"non-rectilinear edge ({x1[i]},{y1[i]})->({x2[i]},{y2[i]})"
         )
+    return x1, y1, x2, y2
+
+
+def _vertical_edges(loops: Sequence[Loop]) -> _Edges:
+    """Extract all vertical edges of ``loops`` as arrays ``(x, ylo, yhi, w)``.
+
+    ``w`` is ``+1`` for downward edges (interior-right winding convention)
+    and ``-1`` for upward edges.  Horizontal and zero-length edges carry no
+    winding information for an x-sweep and are dropped.
+    """
+    x1, y1, x2, y2 = _loop_edges(loops)
     vertical = (x1 == x2) & (y1 != y2)
     x, y1, y2 = x1[vertical], y1[vertical], y2[vertical]
     down = y2 < y1
@@ -193,6 +208,24 @@ def _vertical_edges(loops: Sequence[Loop]) -> _Edges:
     )
 
 
+def _rect_edges(rects: np.ndarray) -> _Edges:
+    """The vertical edges of rects ``(x1, y1, x2, y2)`` as counter-clockwise loops."""
+    w = np.repeat(np.array([1, -1], dtype=np.int32), len(rects))
+    return rects[:, [0, 2]].T.ravel(), np.tile(rects[:, 1], 2), np.tile(rects[:, 3], 2), w
+
+
+def edge_bands(loops: Sequence[Loop], amount: int) -> np.ndarray:
+    """Each edge's bounding box grown by ``amount``: an ``(n, 4)`` rect array.
+
+    The bands cover the points within ``amount`` of the boundary in the
+    maximum norm, which a Minkowski sum with the square of half-width
+    ``amount`` adds to the loops' region and a Minkowski difference removes.
+    """
+    x1, y1, x2, y2 = _loop_edges(loops)
+    ends = np.stack(((x1, y1), (x2, y2)))
+    return np.concatenate((ends.min(axis=0) - amount, ends.max(axis=0) + amount)).T
+
+
 def _predicate(op: str) -> Predicate:
     try:
         return PREDICATES[op]
@@ -202,28 +235,25 @@ def _predicate(op: str) -> Predicate:
         ) from None
 
 
-def boolean_rects(
-    a_loops: Sequence[Loop], b_loops: Sequence[Loop], op: str
-) -> List[Rect]:
-    """Boolean of two loop sets, returned as a disjoint rect decomposition.
+def boolean_rects(a_loops: Operand, b_loops: Operand, op: str) -> List[Rect]:
+    """Boolean of two operands, returned as a disjoint rect decomposition.
 
     ``op`` is one of ``"union"``, ``"intersection"``, ``"difference"``
     (A minus B) or ``"xor"``.  Inputs follow the nonzero winding rule, so
     overlapping or self-touching loops within one operand are handled
     correctly.
     """
-    return sweep_rects([list(a_loops), list(b_loops)], _predicate(op))
+    return sweep_rects([a_loops, b_loops], _predicate(op))
 
 
-def boolean_loops(
-    a_loops: Sequence[Loop], b_loops: Sequence[Loop], op: str
-) -> List[List[Coord]]:
-    """Boolean of two loop sets, returned as canonical maximal loops.
+def boolean_loops(a_loops: Operand, b_loops: Operand, op: str) -> List[List[Coord]]:
+    """Boolean of two operands, returned as canonical maximal loops.
 
     Outer boundaries come back counter-clockwise and holes clockwise, with
-    collinear vertices removed.
+    collinear vertices removed; loop start and order depend only on the
+    covered point set (see :func:`~repro.geometry.stitch.stitch_slabs`).
     """
-    swept = _sweep([list(a_loops), list(b_loops)], _predicate(op))
+    swept = _sweep([a_loops, b_loops], _predicate(op))
     if swept is None:
         return []
     return stitch_slabs(*swept)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 from ..errors import GeometryError
-from .booleans import boolean_loops, sweep_rects
+from .booleans import boolean_loops, edge_bands, sweep_rects
 from .point import Coord
 from .polygon import Polygon
 from .rect import Rect
@@ -241,12 +241,21 @@ class Region:
     def sized(self, amount: int) -> "Region":
         """Grow (positive) or shrink (negative) every boundary by ``amount``.
 
-        EDA-style sizing with mitred (square) corners.  Shrinking is robust:
-        features narrower than ``2 * |amount|`` vanish entirely.
+        The Minkowski sum with, or difference from, the square of half-width
+        ``|amount|``: EDA-style sizing with mitred (square) corners.  One
+        sweep unites the region with its edges' bands (:func:`edge_bands`),
+        or subtracts them, so features narrower than ``2 * |amount|``
+        vanish, holes fill and necks split with no special case.  A
+        non-integral ``amount`` raises :class:`GeometryError`.
         """
-        from .offset import sized as _sized  # local import to avoid a cycle
-
-        return _sized(self, amount)
+        size = int(amount)
+        if size != amount:
+            raise GeometryError(f"sizing amount must be an integer, got {amount!r}")
+        loops = self.merged()._loops
+        op = "union" if size >= 0 else "difference"
+        return Region._from_canonical(
+            boolean_loops(loops, edge_bands(loops, abs(size)), op)
+        )
 
     def opened(self, amount: int) -> "Region":
         """Morphological opening: shrink then grow by ``amount``.

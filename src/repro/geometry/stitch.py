@@ -2,13 +2,18 @@
 
 The sweep in :mod:`repro.geometry.booleans` marks the covered cells of a
 compressed grid one slab (the cells between two consecutive event
-abscissae) at a time.  Every maximal run of covered cells in a slab adds
-its bottom edge, pointing right, and its top edge, pointing left.  At each
-event abscissa the net vertical boundary is where coverage differs between
-the slabs on either side: pointing up where only the left slab is covered,
-down where only the right one is.  Every edge thus has the interior on its
-left, so outer loops emerge counter-clockwise and holes clockwise without
-any post-hoc orientation fixing.
+abscissae) at a time.  At each event abscissa the net vertical boundary is
+where coverage differs between the slabs on either side: pointing up where
+only the left slab is covered, down where only the right one is.  Only the
+abscissae that carry such a boundary cut the result into strips, since
+coverage is the same on every slab between two of them.  Every maximal run
+of covered cells in the first slab of a strip adds its bottom edge,
+pointing right, and its top edge, pointing left, both spanning the whole
+strip.  Every edge thus has the interior on its left, so outer loops emerge
+counter-clockwise and holes clockwise without any post-hoc orientation
+fixing.  Grid lines that the result does not use, such as another
+operand's, split no edge, so the edges and their order depend only on the
+covered point set.
 
 Edges chain into loops by taking, at each end point, the unused out-edge
 that makes the leftmost turn, and a walk ends only where no unused
@@ -64,20 +69,23 @@ def stitch_slabs(
     marking the cell of slab ``first + i`` over ``ys[j]..ys[j + 1]``.
     Returns vertex loops with collinear points removed; outer loops are
     counter-clockwise, holes clockwise.  Edge ``2k`` is the bottom of run
-    ``k`` in row-major run order and edge ``2k + 1`` its top; loops start
-    at the lowest-numbered unused edge, in order.
+    ``k``, by strip and then by ordinate, and edge ``2k + 1`` its top.
+    Loops come in the order of their lowest-numbered edge, and each starts
+    at that edge's start point, or at the next corner along the loop where
+    that point is not a corner.
     """
     runs: List[Tuple[np.ndarray, ...]] = []
     sides: List[Tuple[np.ndarray, ...]] = []
     prev = np.zeros(len(ys) - 1, dtype=np.int8)
     for first, mask in chunks:
         cover = mask.view(np.int8)
-        slab, lo, hi, _ = value_runs(cover)
-        runs.append((slab + first, lo, hi))
         # Left coverage minus right coverage at each abscissa of the chunk.
         change = np.concatenate((prev[None, :], cover[:-1])) - cover
         event, lo, hi, side = value_runs(change)
         sides.append((event + first, lo, hi, side))
+        strip = np.unique(event)
+        slab, lo, hi, _ = value_runs(cover[strip])
+        runs.append((strip[slab] + first, lo, hi))
         prev = cover[-1]
     event, lo, hi, side = value_runs(prev[None, :])
     sides.append((event + len(xs) - 1, lo, hi, side))
@@ -85,15 +93,17 @@ def stitch_slabs(
         return []
     slab, bottom, top = (np.concatenate(a) for a in zip(*runs))
     event, lo, hi, side = (np.concatenate(a) for a in zip(*sides))
+    cuts = np.unique(event)
+    stop = cuts[cuts.searchsorted(slab, side="right")]
 
     # Horizontal edges interleaved (bottom, top) per run, then the vertical
     # ones.  Points are grid indices (column into xs, row into ys).
     n_runs = len(slab)
     level = np.array((bottom, top)).T.ravel()
     up = side > 0
-    start_x = np.concatenate((np.array((slab, slab + 1)).T.ravel(), event))
+    start_x = np.concatenate((np.array((slab, stop)).T.ravel(), event))
     start_y = np.concatenate((level, np.where(up, lo, hi)))
-    end_x = np.concatenate((np.array((slab + 1, slab)).T.ravel(), event))
+    end_x = np.concatenate((np.array((stop, slab)).T.ravel(), event))
     end_y = np.concatenate((level, np.where(up, hi, lo)))
     direction = np.concatenate(
         (

@@ -108,6 +108,17 @@ class TestMorphology:
             square_region().closed(-1)
 
 
+class TestIntegerAmounts:
+    def test_non_integral_amount_rejected(self):
+        ring = Region(Rect(0, 0, 30, 30)) - Region(Rect(10, 10, 20, 20))
+        for size in (ring.sized, ring.opened, ring.closed):
+            with pytest.raises(GeometryError, match="sizing amount must be an integer"):
+                size(2.5)
+        with pytest.raises(GeometryError):
+            ring.sized(-0.5)
+        assert ring.sized(2.0).loops == ring.sized(2).loops
+
+
 @st.composite
 def small_rect_sets(draw):
     n = draw(st.integers(min_value=1, max_value=4))
