@@ -16,10 +16,10 @@ from typing import Optional
 from ..errors import ReproError
 from ..geometry import Rect, Region
 from ..layout import Cell, Layer
-from ..lint import gate_postflight, postflight_mask, preflight_correction
+from ..lint import gate_postflight, postflight_mask, postflight_sweep, preflight_correction
 from ..litho import BinaryMaskBuilder, LithoSimulator, MaskSpec, binary_mask
 from ..mask import MaskDataStats, mask_data_stats
-from ..verify.mrc import MRCReport, MRCRules
+from ..verify.mrc import MRCReport, MRCRules, repair_mask_region
 from ..obs import (
     current_span as _obs_current_span,
     gauge_set as _obs_gauge_set,
@@ -138,11 +138,12 @@ def correct_region(
 
     Correction levels own the mask-side geometry, so their output gets
     the standard post-OPC MRC repair (fragmentation jogs routinely
-    leave sub-limit notches; :func:`repro.opc.repair_mask`) before the
-    gate -- postflight is then a convergence assertion.  Level ``none``
-    is a pure passthrough: the drawn geometry is never silently edited,
-    so an unwritable input dies at the gate instead of being repaired
-    into something the designer did not draw.
+    leave sub-limit notches; :func:`repro.verify.mrc.repair_mask_region`)
+    before the gate -- postflight is then a convergence assertion, and
+    when no SRAFs join the mask the repair's last sweep is the verdict.
+    Level ``none`` is a pure passthrough: the drawn geometry is never
+    silently edited, so an unwritable input dies at the gate instead of
+    being repaired into something the designer did not draw.
     """
     import dataclasses
 
@@ -221,17 +222,14 @@ def correct_region(
         # standard fix-up (fill spaces, trim widths) removes.  Level
         # ``none`` never repairs -- drawn geometry is the user's, and
         # deleting an unwritable feature is worse than rejecting it.
+        repair = None
         with _obs_span(
             "correct.repair", skipped=level == CorrectionLevel.NONE
         ) as repair_span:
             if level != CorrectionLevel.NONE:
-                from ..opc import repair_mask
-
-                before = corrected
-                corrected = repair_mask(corrected, mrc or MRCRules())
-                repair_span.set(
-                    changed=not (corrected ^ before).is_empty
-                )
+                repair = repair_mask_region(corrected, mrc or MRCRules())
+                corrected = repair.mask
+                repair_span.set(changed=repair.passes > 0)
 
         mask = binary_mask(
             corrected,
@@ -251,7 +249,12 @@ def correct_region(
             "correct.postflight", skipped=not postflight
         ) as postflight_span:
             if postflight:
-                post = postflight_mask(combined, mrc)
+                # The repaired mask ships as is: its last repair sweep is
+                # the check postflight_mask would make again.
+                if repair is not None and srafs.is_empty:
+                    post = postflight_sweep(repair.report, data)
+                else:
+                    post = postflight_mask(combined, mrc)
                 mrc_report = post.mrc
                 postflight_span.set(
                     errors=post.report.error_count,

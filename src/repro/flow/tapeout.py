@@ -28,13 +28,11 @@ from ..opc import (
     ParallelSpec,
     RetargetRules,
     TilingSpec,
-    check_mask,
-    repair_mask,
     retarget,
 )
-from ..lint import gate_postflight, postflight_mask, preflight_tapeout
+from ..lint import gate_postflight, postflight_mask, postflight_sweep, preflight_tapeout
 from ..verify import ORCReport, ProcessCorner, run_orc
-from ..verify.mrc import MRCReport as MaskMRCReport
+from ..verify.mrc import MRCReport as MaskMRCReport, repair_mask_region
 from .correct import CorrectionLevel, FlowResult, correct_region
 
 
@@ -96,6 +94,8 @@ class TapeoutResult:
     mask_geometry: Region
     correction: FlowResult
     data: MaskDataStats
+    #: The last MRC repair sweep left no blocking (error) marker on the
+    #: repaired features -- the verdict the postflight gate gives them.
     mrc_clean: bool
     orc: Optional[ORCReport]
     #: Localized postflight MRC findings on the final mask (None when
@@ -132,7 +132,8 @@ def tapeout_region(
     the localized MRC engine over the repaired mask (after SRAF merge)
     and raises :class:`~repro.errors.PostflightError` on blocking
     defects; the repair stage makes this a convergence assertion rather
-    than a routine failure.
+    than a routine failure, and without SRAFs the repair's last sweep is
+    that check.
     """
     merged = drawn.merged()
     if merged.is_empty:
@@ -204,27 +205,33 @@ def tapeout_region(
                 )
 
         with _obs_span("tapeout.mrc") as mrc_span:
-            mask_geometry = repair_mask(mask_geometry, recipe.mrc)
-            mrc_clean = check_mask(mask_geometry, recipe.mrc).is_clean
+            repair = repair_mask_region(mask_geometry, recipe.mrc)
+            mask_geometry = repair.mask
+            mrc_clean = not repair.report.has_errors
             mrc_span.set(clean=mrc_clean)
         combined = (
             mask_geometry | correction.srafs
             if not correction.srafs.is_empty
             else mask_geometry
         )
+        data = mask_data_stats(combined)
 
         # Postflight: the shipped mask (repaired features plus SRAFs)
-        # re-verified by the localized edge engine.  After repair this
-        # should be a no-op; a raise here means the repair failed to
-        # converge and the mask must not leave the process.
+        # verified by the localized edge engine.  Without SRAFs the
+        # repair's last sweep already is that check; a raise here means
+        # the repair failed to converge and the mask must not leave the
+        # process.
         mrc_report: Optional[MaskMRCReport] = None
         with _obs_span(
             "tapeout.postflight", skipped=not postflight
         ) as postflight_span:
             if postflight:
-                post = postflight_mask(
-                    combined, recipe.mrc, cell=source_cell
-                )
+                if correction.srafs.is_empty:
+                    post = postflight_sweep(repair.report, data, source_cell)
+                else:
+                    post = postflight_mask(
+                        combined, recipe.mrc, cell=source_cell
+                    )
                 mrc_report = post.mrc
                 postflight_span.set(
                     errors=post.report.error_count,
@@ -253,7 +260,6 @@ def tapeout_region(
                 )
                 orc_span.set(clean=orc_report.is_clean)
 
-        data = mask_data_stats(combined)
         tapeout_span.set(
             figures=data.figures,
             vertices=data.vertices,

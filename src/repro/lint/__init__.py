@@ -16,6 +16,8 @@ Entry points:
 * :func:`postflight_mask` / :func:`gate_postflight` -- the symmetric
   output gate on corrected masks (raise
   :class:`~repro.errors.PostflightError` before anything is exported);
+  :func:`postflight_sweep` renders the same verdict from the MRC
+  repair's last sweep when that repaired mask is what ships;
 * ``repro check`` / ``repro mrc`` -- the CLI front ends.
 """
 
@@ -30,7 +32,7 @@ from . import rules_pipeline  # noqa: E402,F401
 from . import rules_mask  # noqa: E402,F401
 
 from .preflight import gate, preflight_correction, preflight_tapeout
-from .postflight import PostflightResult, gate_postflight, postflight_mask
+from .postflight import PostflightResult, gate_postflight, postflight_mask, postflight_sweep
 from .rules_mask import MRC_CODES, mrc_lint_report
 
 __all__ = [
@@ -46,6 +48,7 @@ __all__ = [
     "get_rule",
     "mrc_lint_report",
     "postflight_mask",
+    "postflight_sweep",
     "preflight_correction",
     "preflight_tapeout",
     "registered_rules",

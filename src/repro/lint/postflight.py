@@ -6,21 +6,24 @@ never ship.  ``correct_region`` / ``tapeout_region`` run it on the
 corrected mask before any GDS leaves the process; blocking defects raise
 :class:`~repro.errors.PostflightError` carrying the full diagnostic
 report, so a mask the shop would bounce dies here instead of at the
-mask house.
+mask house.  When the shipped mask is the one the MRC repair returned,
+its last repair sweep already is that check, and
+:func:`postflight_sweep` renders it without sweeping again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..errors import PostflightError
 from ..geometry import Region
 from ..layout import Cell
-from ..verify.mrc import MRCReport, MRCRules
+from ..mask import MaskDataStats
+from ..verify.mrc import MRCReport, MRCRules, _attribute
 from .diagnostics import LintReport
 from .engine import LintContext, run_lint
-from .rules_mask import MRC_CODES, mask_report
+from .rules_mask import MRC_CODES, mask_report, mrc_lint_report
 
 
 @dataclass
@@ -62,6 +65,29 @@ def postflight_mask(
     )
     report = run_lint(context, codes=MRC_CODES)
     return PostflightResult(report=report, mrc=mask_report(context))
+
+
+def postflight_sweep(
+    sweep: MRCReport, stats: MaskDataStats, cell: Optional[Cell] = None
+) -> PostflightResult:
+    """The postflight verdict of a sweep already made of the shipped mask.
+
+    ``sweep`` is a ``with_stats=False`` :func:`check_mask_region` report of
+    the shipped mask -- the last sweep of
+    :func:`~repro.verify.mrc.repair_mask_region` -- and ``stats`` that
+    mask's :func:`~repro.mask.mask_data_stats`.  The result equals
+    ``postflight_mask(shipped, sweep.rules, cell)`` field for field: the
+    markers attributed to ``cell``, the fracture estimate from ``stats``,
+    and the same lint diagnostics.
+    """
+    mrc = replace(
+        sweep,
+        violations=_attribute(sweep.violations, cell),
+        shot_count=stats.shots,
+        vertex_count=stats.vertices,
+        figure_count=stats.figures,
+    )
+    return PostflightResult(report=mrc_lint_report(mrc), mrc=mrc)
 
 
 def gate_postflight(

@@ -212,6 +212,23 @@ class LithoSimulator:
         dark-field masks.
         """
         grid, latent = self.latent_image(mask, window, defocus_nm)
+        return self.printed_from_latent(
+            grid, latent, window, dose=dose, clear_features=clear_features
+        )
+
+    def printed_from_latent(
+        self,
+        grid: Grid,
+        latent: np.ndarray,
+        window: Rect,
+        dose: float = 1.0,
+        clear_features: bool = False,
+    ) -> Region:
+        """:meth:`printed` of a latent image :meth:`latent_image` returned.
+
+        Dose only moves the develop threshold, so one latent image serves
+        every dose and every measurement of the same mask and focus.
+        """
         threshold = self.config.resist.effective_threshold(dose)
         if self.config.resist.positive:
             develop = latent < threshold

@@ -563,33 +563,34 @@ def _load_toml(path: Path) -> Dict[str, Any]:
         raise ReproError(f"{path}: {error}") from None
 
 
-def _slo_from_table(metric: str, table: Any) -> SLO:
+def _slo_from_table(path: Path, metric: str, table: Any) -> SLO:
+    """One SLO from its table in file ``path``; errors name the file."""
     if not isinstance(table, dict):
-        raise ReproError(f"SLO {metric!r} must be a table, got {table!r}")
+        raise ReproError(f"{path}: SLO {metric!r} must be a table, got {table!r}")
     unknown = set(table) - _SLO_KEYS
     if unknown:
         raise ReproError(
-            f"SLO {metric!r} has unknown key(s): {', '.join(sorted(unknown))}"
+            f"{path}: SLO {metric!r} has unknown key(s): {', '.join(sorted(unknown))}"
         )
     objective = table.get("objective")
     if not isinstance(objective, (int, float)) or isinstance(objective, bool):
-        raise ReproError(f"SLO {metric!r} needs a numeric 'objective'")
+        raise ReproError(f"{path}: SLO {metric!r} needs a numeric 'objective'")
     direction = table.get("direction", "below")
     if direction not in ("below", "above"):
         raise ReproError(
-            f"SLO {metric!r} direction must be 'below' or 'above', "
+            f"{path}: SLO {metric!r} direction must be 'below' or 'above', "
             f"got {direction!r}"
         )
     window = table.get("window", 10)
     if not isinstance(window, int) or isinstance(window, bool) or window < 1:
-        raise ReproError(f"SLO {metric!r} window must be a positive integer")
+        raise ReproError(f"{path}: SLO {metric!r} window must be a positive integer")
     budget = table.get("budget", 0.0)
     if (
         not isinstance(budget, (int, float))
         or isinstance(budget, bool)
         or not 0.0 <= float(budget) < 1.0
     ):
-        raise ReproError(f"SLO {metric!r} budget must be in [0, 1)")
+        raise ReproError(f"{path}: SLO {metric!r} budget must be in [0, 1)")
     return SLO(
         metric=metric,
         objective=float(objective),
@@ -625,7 +626,7 @@ def load_slos(path: Optional[Union[str, Path]] = None) -> Dict[str, SLO]:
         # Standalone file: every top-level table is one SLO.
         table = {k: v for k, v in data.items() if isinstance(v, dict)}
     return {
-        metric: _slo_from_table(metric, table[metric])
+        metric: _slo_from_table(file_path, metric, table[metric])
         for metric in sorted(table)
     }
 

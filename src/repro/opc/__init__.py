@@ -13,8 +13,9 @@ Public surface:
 * assist features: :func:`insert_srafs`, :class:`SRAFRecipe`;
 * alternating-PSM phase assignment: :func:`assign_phases`,
   :class:`PSMRecipe`, :class:`PhaseAssignment`;
-* mask rule checks: :func:`check_mask`, :class:`MRCRules`,
-  :class:`MRCReport`.
+* mask rule checks: :class:`MRCRules`, :func:`repair_mask` (from
+  :mod:`repro.verify.mrc`) and the deprecated count-only
+  :func:`check_mask` / :class:`MRCReport`.
 """
 
 from .hierarchical import HierarchicalOPCResult, hierarchical_model_opc

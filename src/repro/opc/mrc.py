@@ -2,33 +2,38 @@
 
 .. deprecated::
     This module is a thin back-compat shim.  The rule definitions
-    (:class:`MRCRules`) and the full localized static-analysis engine
-    now live in :mod:`repro.verify.mrc`; new code should call
+    (:class:`MRCRules`), the localized engine and the repair all live in
+    :mod:`repro.verify.mrc`; new code should call
     :func:`repro.verify.mrc.check_mask_region`, which reports *where*
     each violation is (rule id, rect marker, measured vs. limit) instead
     of the count-only summary returned here.
 
-The shim keeps the original morphological API alive because it is the
-right tool for one job that the edge engine is not: :func:`repair_mask`
-needs violation *regions* (to fill or trim), not point markers.  The
-repair loop therefore still runs on openings/closings; its
-post-condition is checked by the edge engine when the caller asks for
-it (``strict=True`` or :func:`repair_mask_residuals`).
+:func:`repair_mask` and :func:`repair_mask_residuals` are re-exported
+from :mod:`repro.verify.mrc`, where each repair pass is one engine sweep
+whose markers are filled or trimmed.  :func:`check_mask` keeps its
+morphological semantics (an opening and a closing) as a public
+count-only check; no flow calls it any more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from ..errors import OPCError
 from ..geometry import Polygon, Region
 
-# Canonical rule definitions live with the engine; re-exported here so
-# `from repro.opc import MRCRules` keeps working.
-from ..verify.mrc import MRCRules, MRCViolation, check_mask_region
+# Canonical rule definitions and the repair live with the engine;
+# re-exported here so `from repro.opc import MRCRules, repair_mask` keeps
+# working.
+from ..verify.mrc import MRCRules, repair_mask, repair_mask_residuals
 
-__all__ = ["MRCRules", "MRCReport", "check_mask", "repair_mask"]
+__all__ = [
+    "MRCRules",
+    "MRCReport",
+    "check_mask",
+    "repair_mask",
+    "repair_mask_residuals",
+]
 
 
 @dataclass
@@ -86,82 +91,6 @@ def check_mask(
             check_space(merged, rules.min_space_nm), rules.min_area_nm2
         ),
     )
-
-
-def repair_mask(
-    mask_geometry: Region,
-    rules: Optional[MRCRules] = None,
-    max_passes: int = 3,
-    strict: bool = False,
-) -> Region:
-    """Make a mask MRC-clean with minimal, bounded edits.
-
-    Sub-minimum spaces are filled (the sliver of gap becomes chrome) and
-    sub-minimum widths trimmed (the sliver of chrome is removed) -- each
-    edit displaces geometry by less than the corresponding MRC limit, the
-    standard automated fix-up between OPC and fracture.  Passes repeat
-    because a fill can create a new narrow neck nearby.
-
-    With ``strict=True`` the post-condition is verified by the
-    edge-based engine (:func:`repro.verify.mrc.check_mask_region`) and
-    residual blocking violations raise :class:`OPCError`; otherwise the
-    repaired geometry is returned unchecked, possibly still dirty (use
-    :func:`repair_mask_residuals` to obtain the leftovers).
-    """
-    if not strict:
-        return _repair_passes(mask_geometry, rules, max_passes)
-    repaired, residual = repair_mask_residuals(
-        mask_geometry, rules, max_passes
-    )
-    if residual:
-        heads = "; ".join(
-            f"{v.rule_id} at {tuple(v.marker)}" for v in residual[:3]
-        )
-        more = f" and {len(residual) - 3} more" if len(residual) > 3 else ""
-        raise OPCError(
-            f"repair_mask left {len(residual)} blocking violation(s) "
-            f"after {max_passes} pass(es): {heads}{more}"
-        )
-    return repaired
-
-
-def repair_mask_residuals(
-    mask_geometry: Region,
-    rules: Optional[MRCRules] = None,
-    max_passes: int = 3,
-) -> Tuple[Region, List[MRCViolation]]:
-    """:func:`repair_mask` plus the violations repair could not fix.
-
-    The residual list holds blocking (ERROR severity) markers from the
-    edge engine; an empty list is the machine-checked post-condition
-    that the repair converged.
-    """
-    current = _repair_passes(mask_geometry, rules, max_passes)
-    residual = [
-        violation
-        for violation in check_mask_region(
-            current, rules, with_stats=False
-        ).violations
-        if violation.severity == "error"
-    ]
-    return current, residual
-
-
-def _repair_passes(
-    mask_geometry: Region, rules: Optional[MRCRules], max_passes: int
-) -> Region:
-    """The fill/trim passes of :func:`repair_mask`, without a final check."""
-    rules = (MRCRules() if rules is None else rules).validated()
-    current = mask_geometry.merged()
-    for _pass in range(max_passes):
-        report = check_mask(current, rules)
-        if report.is_clean:
-            break
-        if not report.space_violations.is_empty:
-            current = (current | report.space_violations).merged()
-        if not report.width_violations.is_empty:
-            current = (current - report.width_violations).merged()
-    return current
 
 
 def _drop_dust(region: Region, min_area_nm2: int = 4) -> Region:

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import VerificationError
 from ..geometry import FragmentationSpec, FragmentTag, Rect, Region, fragment_region
-from ..litho import LithoSimulator, MaskSpec
+from ..litho import Grid, LithoSimulator, MaskSpec, edge_offsets_batch
 
 #: Fragmentation used for verification sites (finer than correction).
 DEFAULT_EPE_FRAGMENTATION = FragmentationSpec(
@@ -202,6 +202,8 @@ def measure_epe_sites(
     spec: FragmentationSpec = DEFAULT_EPE_FRAGMENTATION,
     search_nm: float = 80.0,
     include_corners: bool = True,
+    *,
+    latent: Optional[Tuple[Grid, np.ndarray]] = None,
 ) -> Tuple[EPEStats, List[EPESite]]:
     """Like :func:`measure_epe`, but keeps every measurement attributed.
 
@@ -210,6 +212,11 @@ def measure_epe_sites(
     identity, signed error and failure state.  Owning-cell attribution is
     added separately (see :func:`repro.obs.spatial.attribute_sites`)
     because it needs the layout hierarchy, not the flat region.
+
+    ``latent`` is the ``(grid, image)`` pair
+    :meth:`~repro.litho.LithoSimulator.latent_image` returns for ``mask``
+    over ``window`` at ``defocus_nm``, when the caller already has it (ORC
+    develops the same image); otherwise it is computed here.
     """
     sites: List[EPESite] = []
     for loop_index, fragments in enumerate(fragment_region(target, spec)):
@@ -231,12 +238,16 @@ def measure_epe_sites(
             )
     if not sites:
         raise VerificationError("target has no measurable edges inside the window")
-    measured = simulator.edge_placement_errors_with_state(
-        mask,
-        window,
+    grid, image = (
+        simulator.latent_image(mask, window, defocus_nm)
+        if latent is None
+        else latent
+    )
+    measured = edge_offsets_batch(
+        image,
+        grid,
         [(site.anchor, site.normal) for site in sites],
-        dose=dose,
-        defocus_nm=defocus_nm,
+        simulator.config.resist.effective_threshold(dose),
         search_nm=search_nm,
     )
     sites = [

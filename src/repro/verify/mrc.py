@@ -1,7 +1,7 @@
-"""Edge-based mask rule checking (MRC) with localized violations.
+"""Edge-based mask rule checking (MRC) with localized violations, and repair.
 
-The count-only checker in :mod:`repro.opc.mrc` answers *whether* a mask
-is writable; this engine answers *where* and *why* it is not.  It sweeps
+This is the one MRC engine of the flows: it answers *whether* a mask is
+writable, *where* and *why* it is not, and makes it writable.  It sweeps
 the boundary edges of a merged mask :class:`~repro.geometry.Region` and
 emits one :class:`MRCViolation` marker per defect -- rule id, rect
 marker, measured value vs. limit, owning cell -- for the rule classes a
@@ -27,7 +27,10 @@ width candidate is a pair of facing edges with material between them; a
 space candidate has the gap between them.  Candidates are refined by
 subtracting coverage intervals where other geometry interrupts the band,
 which is what guarantees zero false positives: every reported interval
-really is governed by the reported pair of edges.
+really is governed by the reported pair of edges.  The edges live in
+NumPy arrays, and the facing pairs of each axis and rule come from
+sorted searches over ``(interval, position)`` keys, not from per-edge
+index queries.
 
 All comparisons are strict -- a measurement exactly equal to its limit
 is legal.
@@ -36,28 +39,41 @@ The module also prices the mask for the writer: a VSB fracture estimate
 (``shot_count`` / ``vertex_count`` / ``figure_count``) rides on every
 report so shot-count inflation can be gated like any other quality
 metric (see :mod:`repro.obs.runs`).
+
+:func:`repair_mask_region` repairs from the markers: each pass is one
+sweep whose MRC102/MRC105 rects are filled and MRC101 rects trimmed,
+and it returns the last sweep with the repaired mask, so a flow that
+ships that mask signs it off without sweeping it again.
+:func:`repair_mask` and :func:`repair_mask_residuals` are views of the
+same loop.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..errors import OPCError
-from ..geometry import GridIndex, Polygon, Rect, Region
+from ..geometry import Rect, Region
+from ..geometry.booleans import _loop_edges, boolean_rects
 
 __all__ = [
     "MRC_RULE_CATALOG",
     "MRCRules",
     "MRCViolation",
     "MRCReport",
+    "MaskRepair",
     "check_mask_region",
+    "repair_mask",
+    "repair_mask_region",
+    "repair_mask_residuals",
     "scan_window",
 ]
 
 # Severity strings mirror repro.lint.Severity values without importing
-# repro.lint (which imports repro.opc, which imports this module's shim).
+# repro.lint (which imports repro.opc, whose MRC shim imports this module).
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 
@@ -287,91 +303,6 @@ class MRCReport:
 
 
 # ---------------------------------------------------------------------------
-# Edge extraction
-# ---------------------------------------------------------------------------
-
-# A boundary edge of the merged mask.  axis "v": x == pos, lo..hi in y,
-# outward +1 east / -1 west.  axis "h": y == pos, lo..hi in x, outward
-# +1 north / -1 south.  loop identifies the polygon outline the edge
-# came from, which is what separates a notch (same loop) from a space
-# violation (different loops).
-class _Edge:
-    __slots__ = ("axis", "pos", "lo", "hi", "outward", "loop")
-
-    def __init__(self, axis, pos, lo, hi, outward, loop):
-        self.axis = axis
-        self.pos = pos
-        self.lo = lo
-        self.hi = hi
-        self.outward = outward
-        self.loop = loop
-
-    def bbox(self) -> Rect:
-        if self.axis == "v":
-            return Rect(self.pos, self.lo, self.pos, self.hi)
-        return Rect(self.lo, self.pos, self.hi, self.pos)
-
-
-class _Corner:
-    __slots__ = ("x", "y", "qx", "qy", "loop")
-
-    def __init__(self, x, y, qx, qy, loop):
-        self.x = x
-        self.y = y
-        self.qx = qx
-        self.qy = qy
-        self.loop = loop
-
-
-def _sign(value: int) -> int:
-    return (value > 0) - (value < 0)
-
-
-def _extract(
-    polygons: Sequence[Polygon],
-) -> Tuple[List[_Edge], List[_Corner]]:
-    """Boundary edges and convex corners of merged-region loops.
-
-    Assumes the interior-left loop convention of ``Region.polygons()``
-    (outers CCW, holes CW), under which a convex corner is always a left
-    turn and the outward normal of an edge points right of travel.
-    """
-    edges: List[_Edge] = []
-    corners: List[_Corner] = []
-    for loop_id, poly in enumerate(polygons):
-        pts = poly.points
-        n = len(pts)
-        if n < 3:
-            continue
-        for i in range(n):
-            ax, ay = pts[i]
-            bx, by = pts[(i + 1) % n]
-            if ax == bx and ay != by:
-                # Vertical: up -> outward east, down -> outward west.
-                outward = 1 if by > ay else -1
-                edges.append(
-                    _Edge("v", ax, min(ay, by), max(ay, by), outward, loop_id)
-                )
-            elif ay == by and ax != bx:
-                # Horizontal: right -> outward south, left -> north.
-                outward = -1 if bx > ax else 1
-                edges.append(
-                    _Edge("h", ay, min(ax, bx), max(ax, bx), outward, loop_id)
-                )
-            # Corner at pts[(i + 1) % n]: turn from this edge into the
-            # next one.  Left turns are convex under interior-left.
-            cx, cy = pts[(i + 2) % n]
-            d1x, d1y = bx - ax, by - ay
-            d2x, d2y = cx - bx, cy - by
-            if d1x * d2y - d1y * d2x > 0:
-                qx = _sign(d1x - d2x)
-                qy = _sign(d1y - d2y)
-                if qx != 0 and qy != 0:
-                    corners.append(_Corner(bx, by, qx, qy, loop_id))
-    return edges, corners
-
-
-# ---------------------------------------------------------------------------
 # Interval refinement
 # ---------------------------------------------------------------------------
 
@@ -400,219 +331,241 @@ def _subtract_intervals(
     return [(a, b) for a, b in out if b > a]
 
 
-def _band_blockers(
-    band: Rect, merged: Region, want_material: bool, axis: str
-) -> List[Tuple[int, int]]:
-    """Along-edge intervals of ``band`` interrupted by other geometry.
+# ---------------------------------------------------------------------------
+# Boundary arrays and pair search
+# ---------------------------------------------------------------------------
 
-    For a width candidate the band must be solid material, so any
-    *empty* sliver blocks it; for a space candidate the band must be
-    empty, so any *material* blocks it.  ``want_material`` selects which
-    (True = width).  ``axis`` is the paired edges' axis: a band between
-    two vertical edges runs along y, so blocked intervals are y ranges,
-    and vice versa.
+# The boundary of a merged window is held as NumPy arrays, one row per
+# edge, never as per-edge objects.  Per axis -- "v" for vertical edges
+# (x == pos, extent lo..hi in y, outward +1 east / -1 west) and "h" for
+# horizontal ones (y == pos, extent lo..hi in x, outward +1 north / -1
+# south) -- an edge is (pos, lo, hi, outward, loop).  ``loop`` identifies
+# the outline the edge came from, which is what separates a notch (same
+# loop) from a space violation (different loops).
+
+
+def _loop_arrays(merged: Region):
+    """``(loops, lengths, starts, edges)`` of a merged region.
+
+    ``edges`` are the ``(x1, y1, x2, y2)`` arrays of
+    :func:`~repro.geometry.booleans._loop_edges`, in loop order: loop
+    ``k`` owns rows ``starts[k]`` to ``starts[k] + lengths[k]``, and row
+    ``i`` starts at that loop's vertex ``i - starts[k]``.
     """
-    band_region = Region(band)
-    interference = (
-        band_region - merged if want_material else band_region & merged
-    )
-    intervals: List[Tuple[int, int]] = []
-    for rect in interference.rects():
-        if axis == "v":
-            intervals.append((rect.y1, rect.y2))
-        else:
-            intervals.append((rect.x1, rect.x2))
-    return intervals
+    loops = [loop for loop in merged.loops if len(loop) >= 4]
+    lengths = np.fromiter(map(len, loops), dtype=np.intp, count=len(loops))
+    return loops, lengths, np.cumsum(lengths) - lengths, _loop_edges(loops)
 
 
-# ---------------------------------------------------------------------------
-# The sweep
-# ---------------------------------------------------------------------------
+def _ranges(keys: np.ndarray, query: np.ndarray, reach: int):
+    """``(row, index)`` of every sorted key with ``q < key < q + reach``.
+
+    ``row`` indexes ``query`` and ``index`` indexes ``keys``; both come
+    from two :func:`numpy.searchsorted` calls and one expansion.
+    """
+    start = np.searchsorted(keys, query, side="right")
+    count = np.searchsorted(keys, query + reach, side="left") - start
+    row = np.repeat(np.arange(len(query)), count)
+    offset = np.repeat(start - (np.cumsum(count) - count), count)
+    return row, np.arange(len(row)) + offset
 
 
-def _grid_size(limit_nm: int) -> int:
-    return max(64, limit_nm * 4)
+def _facing_pairs(
+    pos: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    low: np.ndarray,
+    high: np.ndarray,
+    reach: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Edge pairs ``(i, j)`` of one axis that can bound a band.
+
+    ``i`` is a ``low`` edge and ``j`` a ``high`` edge (boolean masks over
+    the axis's edges) with ``0 < pos[j] - pos[i] < reach``, and their
+    extents overlap by a positive length.  The distinct extent ends cut
+    the along axis into elementary intervals; every edge becomes one
+    ``(interval, position)`` key per interval it covers, so the candidates
+    of every low edge in every interval it covers come from one pair of
+    sorted searches.  A pair meets in each interval both edges cover and
+    is kept only in the first one.
+    """
+    bounds = np.unique(np.concatenate((lo, hi)))
+    first = np.searchsorted(bounds, lo)
+    count = np.searchsorted(bounds, hi) - first
+    base = int(pos.min())
+    # Keys of one interval stay below the next interval's, even + reach.
+    span = int(pos.max()) - base + reach + 1
+
+    def keyed(mask: np.ndarray):
+        edge = np.repeat(np.flatnonzero(mask), count[mask])
+        rank = np.arange(len(edge)) - np.repeat(
+            np.cumsum(count[mask]) - count[mask], count[mask]
+        )
+        interval = first[edge] + rank
+        return edge, interval, interval * span + pos[edge] - base
+
+    low_edge, interval, query = keyed(low)
+    high_edge, _, keys = keyed(high)
+    order = np.argsort(keys, kind="stable")
+    row, index = _ranges(keys[order], query, reach)
+    i = low_edge[row]
+    j = high_edge[order][index]
+    kept = interval[row] == np.maximum(first[i], first[j])
+    return i[kept], j[kept]
 
 
 def _edge_rule_violations(
     merged: Region, rules: MRCRules
 ) -> List[MRCViolation]:
     """Width/space/notch/edge/corner defects of one merged window."""
-    polygons = merged.polygons()
-    edges, corners = _extract(polygons)
+    # Merged loops keep the interior on the left of travel (outers CCW,
+    # holes CW), so an edge's outward normal is its direction turned 90
+    # degrees clockwise, and a convex corner is a left turn.
+    loops, lengths, starts, (x1, y1, x2, y2) = _loop_arrays(merged)
+    if not loops:
+        return []
+    edge_loop = np.repeat(np.arange(len(loops)), lengths)
+    # Bounding boxes of the loops: a band or corner gap only needs the
+    # loops that reach it (a hole lies inside its outer loop's box).
+    bx1, by1 = np.minimum.reduceat(x1, starts), np.minimum.reduceat(y1, starts)
+    bx2, by2 = np.maximum.reduceat(x1, starts), np.maximum.reduceat(y1, starts)
     violations: List[MRCViolation] = []
 
-    # --- min-edge (jog slivers) -------------------------------------
-    if rules.min_edge_nm > 0:
-        for edge in edges:
-            length = edge.hi - edge.lo
-            if 0 < length < rules.min_edge_nm:
-                violations.append(
-                    MRCViolation(
-                        "MRC104",
-                        "min-edge",
-                        SEVERITY_WARNING,
-                        edge.bbox(),
-                        float(length),
-                        float(rules.min_edge_nm),
-                    )
-                )
+    def interference(rect: Rect, op: str) -> List[Rect]:
+        """``rect`` op the merged window, as slab rects."""
+        near = (bx1 <= rect.x2) & (bx2 >= rect.x1) & (by1 <= rect.y2) & (by2 >= rect.y1)
+        return boolean_rects(
+            np.array([tuple(rect)], dtype=np.int64),
+            [loops[k] for k in np.flatnonzero(near).tolist()],
+            op,
+        )
 
-    # --- facing-edge pair rules -------------------------------------
-    space_radius = max(rules.min_space_nm, rules.effective_notch_nm)
-    reach = max(rules.min_width_nm, space_radius)
-    index: GridIndex[_Edge] = GridIndex(_grid_size(reach))
-    for edge in edges:
-        index.insert(edge.bbox(), edge)
-
-    def pair_candidates(edge: _Edge, radius: int):
-        """Parallel edges within ``radius`` of ``edge`` (caller filters
-        by outward direction and position)."""
-        if edge.axis == "v":
-            window = Rect(
-                edge.pos - radius, edge.lo, edge.pos + radius, edge.hi
-            )
-        else:
-            window = Rect(
-                edge.lo, edge.pos - radius, edge.hi, edge.pos + radius
-            )
-        for _bbox, other in index.query(window):
-            if other.axis == edge.axis and other is not edge:
-                yield other
+    def box(axis: str, p1: int, p2: int, s1: int, s2: int) -> Rect:
+        """The rect between positions p1..p2 over the extent s1..s2."""
+        return Rect(p1, s1, p2, s2) if axis == "v" else Rect(s1, p1, s2, p2)
 
     def emit_band(
-        a: _Edge, b: _Edge, rule_id: str, kind: str, severity: str, limit: int
+        axis: str, p1: int, p2: int, lo: int, hi: int, rule_id: str, limit: int
     ) -> None:
-        """Refine the band between facing edges a (low) and b (high)."""
-        lo = max(a.lo, b.lo)
-        hi = min(a.hi, b.hi)
-        if hi <= lo:
-            return
-        distance = b.pos - a.pos
-        want_material = kind == "min-width"
-        if a.axis == "v":
-            band = Rect(a.pos, lo, b.pos, hi)
-        else:
-            band = Rect(lo, a.pos, hi, b.pos)
-        blocked = _band_blockers(band, merged, want_material, a.axis)
+        """Refine the band between facing edges at p1 (low) and p2 (high).
+
+        A width band must be solid material, so any empty sliver blocks
+        it; a space band must be empty, so any material blocks it.  The
+        along-edge intervals that stay unblocked are the markers.
+        """
+        kind, severity, _ = MRC_RULE_CATALOG[rule_id]
+        op = "difference" if rule_id == "MRC101" else "intersection"
+        blocked = [
+            (r.y1, r.y2) if axis == "v" else (r.x1, r.x2)
+            for r in interference(box(axis, p1, p2, lo, hi), op)
+        ]
         for ilo, ihi in _subtract_intervals(lo, hi, blocked):
-            if a.axis == "v":
-                marker = Rect(a.pos, ilo, b.pos, ihi)
-            else:
-                marker = Rect(ilo, a.pos, ihi, b.pos)
             violations.append(
                 MRCViolation(
                     rule_id,
                     kind,
                     severity,
-                    marker,
-                    float(distance),
+                    box(axis, p1, p2, ilo, ihi),
+                    float(p2 - p1),
                     float(limit),
                 )
             )
 
-    for edge in edges:
-        # Width: this edge faces away from the band (outward on the low
-        # side is -1: west/south), partner faces toward us from above.
-        if edge.outward == -1:
-            for other in pair_candidates(edge, rules.min_width_nm):
-                if (
-                    other.outward == 1
-                    and 0 < other.pos - edge.pos < rules.min_width_nm
-                ):
-                    emit_band(
-                        edge,
-                        other,
-                        "MRC101",
-                        "min-width",
-                        SEVERITY_ERROR,
-                        rules.min_width_nm,
-                    )
-        # Space/notch: low edge outward +1 (interior below it), gap
-        # above, partner outward -1 with interior above.
-        if edge.outward == 1:
-            for other in pair_candidates(edge, space_radius):
-                if other.outward != -1:
-                    continue
-                gap = other.pos - edge.pos
-                if gap <= 0:
-                    continue
-                same_loop = other.loop == edge.loop
-                limit = (
-                    rules.effective_notch_nm
-                    if same_loop
-                    else rules.min_space_nm
-                )
-                if gap < limit:
-                    if same_loop:
-                        emit_band(
-                            edge,
-                            other,
-                            "MRC105",
-                            "notch",
-                            SEVERITY_ERROR,
-                            limit,
-                        )
-                    else:
-                        emit_band(
-                            edge,
-                            other,
-                            "MRC102",
-                            "min-space",
-                            SEVERITY_ERROR,
-                            limit,
-                        )
+    space_radius = max(rules.min_space_nm, rules.effective_notch_nm)
+    for axis, pos, a, b, outward in (
+        # Up is outward east; rightward is outward south.
+        ("v", x1, y1, y2, np.sign(y2 - y1)),
+        ("h", y1, x1, x2, np.sign(x1 - x2)),
+    ):
+        on = a != b  # rectilinear: the edges of this axis
+        if not on.any():
+            continue
+        pos, outward, loop = pos[on], outward[on], edge_loop[on]
+        lo, hi = np.minimum(a, b)[on], np.maximum(a, b)[on]
 
-    # --- corner-to-corner -------------------------------------------
-    if rules.corner_nm > 0 and corners:
-        corner_index: GridIndex[_Corner] = GridIndex(
-            _grid_size(rules.corner_nm)
-        )
-        for corner in corners:
-            corner_index.insert(
-                Rect(corner.x, corner.y, corner.x, corner.y), corner
-            )
-        for corner in corners:
-            # Anchor on the SW/NW member of each diagonal pair so every
-            # unordered pair is visited exactly once.
-            if corner.qx != 1:
-                continue
-            window = Rect(
-                corner.x,
-                corner.y - rules.corner_nm,
-                corner.x + rules.corner_nm,
-                corner.y + rules.corner_nm,
-            )
-            for _bbox, other in corner_index.query(window):
-                dx = other.x - corner.x
-                dy = other.y - corner.y
-                if dx <= 0 or dy == 0:
-                    continue
-                # Diagonal opposition: exterior quadrants must point at
-                # each other (NE vs SW or SE vs NW).
-                if other.qx != -1 or other.qy != -corner.qy:
-                    continue
-                if _sign(dy) != corner.qy:
-                    continue
-                distance = math.hypot(dx, dy)
-                if distance >= rules.corner_nm:
-                    continue
-                between = Rect.from_corners(
-                    (corner.x, corner.y), (other.x, other.y)
-                )
-                if not (Region(between) & merged).is_empty:
-                    continue
+        # --- min-edge (jog slivers) ---------------------------------
+        if rules.min_edge_nm > 0:
+            for k in np.flatnonzero(hi - lo < rules.min_edge_nm).tolist():
+                p, s1, s2 = int(pos[k]), int(lo[k]), int(hi[k])
                 violations.append(
                     MRCViolation(
-                        "MRC106",
-                        "corner",
+                        "MRC104",
+                        "min-edge",
                         SEVERITY_WARNING,
-                        between,
-                        round(distance, 3),
-                        float(rules.corner_nm),
+                        box(axis, p, p, s1, s2),
+                        float(s2 - s1),
+                        float(rules.min_edge_nm),
                     )
                 )
 
+        # --- width: material between a west/south-facing low edge and
+        # an east/north-facing high edge ----------------------------
+        i, j = _facing_pairs(
+            pos, lo, hi, outward == -1, outward == 1, rules.min_width_nm
+        )
+        for k, m in zip(i.tolist(), j.tolist()):
+            emit_band(
+                axis, int(pos[k]), int(pos[m]),
+                int(max(lo[k], lo[m])), int(min(hi[k], hi[m])),
+                "MRC101", rules.min_width_nm,
+            )
+
+        # --- space and notch: the gap between an outward +1 low edge
+        # and an outward -1 high edge -------------------------------
+        i, j = _facing_pairs(pos, lo, hi, outward == 1, outward == -1, space_radius)
+        same = loop[i] == loop[j]
+        limit = np.where(same, rules.effective_notch_nm, rules.min_space_nm)
+        tight = pos[j] - pos[i] < limit
+        for k, m, notch in zip(i[tight].tolist(), j[tight].tolist(), same[tight].tolist()):
+            emit_band(
+                axis, int(pos[k]), int(pos[m]),
+                int(max(lo[k], lo[m])), int(min(hi[k], hi[m])),
+                "MRC105" if notch else "MRC102",
+                rules.effective_notch_nm if notch else rules.min_space_nm,
+            )
+
+    # --- corner-to-corner -----------------------------------------------
+    if rules.corner_nm > 0:
+        corner_nm = rules.corner_nm
+        # The corner at each edge's end is the turn into the loop's next
+        # edge; convex corners turn left, away from their exterior quadrant.
+        succ = np.arange(1, len(x1) + 1)
+        succ[starts + lengths - 1] = starts
+        dx, dy = x2 - x1, y2 - y1
+        convex = dx * dy[succ] - dy * dx[succ] > 0
+        cx, cy = x2[convex], y2[convex]
+        qx = np.sign(dx - dx[succ])[convex]
+        qy = np.sign(dy - dy[succ])[convex]
+        # Anchor on the SW/NW member of each diagonal pair, so every
+        # unordered pair is visited once; partners lie east of it.
+        anchors = np.flatnonzero(qx == 1)
+        partners = np.flatnonzero(qx == -1)
+        partners = partners[np.argsort(cx[partners], kind="stable")]
+        row, index = _ranges(cx[partners], cx[anchors], corner_nm)
+        ka, kp = anchors[row], partners[index]
+        # Diagonal opposition: exterior quadrants point at each other (NE
+        # vs SW or SE vs NW), and the partner lies on the anchor's open side.
+        facing = (qy[kp] == -qy[ka]) & (np.sign(cy[kp] - cy[ka]) == qy[ka])
+        ka, kp = ka[facing], kp[facing]
+        distances = np.hypot(cx[kp] - cx[ka], cy[kp] - cy[ka])
+        for k, m, distance in zip(ka.tolist(), kp.tolist(), distances.tolist()):
+            if distance >= corner_nm:
+                continue
+            between = Rect.from_corners(
+                (int(cx[k]), int(cy[k])), (int(cx[m]), int(cy[m]))
+            )
+            if interference(between, "intersection"):
+                continue
+            violations.append(
+                MRCViolation(
+                    "MRC106",
+                    "corner",
+                    SEVERITY_WARNING,
+                    between,
+                    round(distance, 3),
+                    float(corner_nm),
+                )
+            )
     return violations
 
 
@@ -620,20 +573,25 @@ def _area_violations(merged: Region, rules: MRCRules) -> List[MRCViolation]:
     """Figures below the minimum writable area (global rule)."""
     if rules.min_area_nm2 <= 0:
         return []
+    loops, lengths, starts, (x1, y1, x2, y2) = _loop_arrays(merged)
+    if not loops:
+        return []
+    # Twice each loop's signed area (shoelace); outer loops are positive.
+    area2 = np.add.reduceat(x1 * y2 - x2 * y1, starts)
     out: List[MRCViolation] = []
-    for poly in merged.outer_polygons():
-        area2 = poly.signed_area2()
-        if 0 < area2 < 2 * rules.min_area_nm2:
-            out.append(
-                MRCViolation(
-                    "MRC103",
-                    "min-area",
-                    SEVERITY_ERROR,
-                    poly.bbox(),
-                    area2 / 2.0,
-                    float(rules.min_area_nm2),
-                )
+    for k in np.flatnonzero((area2 > 0) & (area2 < 2 * rules.min_area_nm2)).tolist():
+        xs = x1[starts[k]:starts[k] + lengths[k]]
+        ys = y1[starts[k]:starts[k] + lengths[k]]
+        out.append(
+            MRCViolation(
+                "MRC103",
+                "min-area",
+                SEVERITY_ERROR,
+                Rect(int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max())),
+                int(area2[k]) / 2.0,
+                float(rules.min_area_nm2),
             )
+        )
     return out
 
 
@@ -813,3 +771,104 @@ def check_mask_region(
         report.vertex_count = stats.vertices
         report.figure_count = stats.figures
     return report
+
+
+# ---------------------------------------------------------------------------
+# Repair
+# ---------------------------------------------------------------------------
+
+#: Markers a repair pass edits: gaps it fills and widths it trims.
+_FILLED = ("MRC102", "MRC105")
+_TRIMMED = ("MRC101",)
+
+
+@dataclass
+class MaskRepair:
+    """Outcome of :func:`repair_mask_region`."""
+
+    #: The repaired mask, canonical.
+    mask: Region
+    #: The last sweep, made of ``mask`` itself (no fracture estimate).
+    report: MRCReport
+    #: Fill-and-trim passes made; 0 when the input was already clean.
+    passes: int = 0
+
+    @property
+    def residual(self) -> List[MRCViolation]:
+        """Blocking markers the repair left (empty when it converged)."""
+        return [
+            v for v in self.report.violations if v.severity == SEVERITY_ERROR
+        ]
+
+
+def repair_mask_region(
+    mask_geometry: Region,
+    rules: Optional[MRCRules] = None,
+    max_passes: int = 3,
+) -> MaskRepair:
+    """Fill the sub-limit gaps and trim the sub-limit widths the engine marks.
+
+    Each pass is one :func:`check_mask_region` sweep: its MRC102 and
+    MRC105 marker rects become chrome and its MRC101 marker rects are
+    removed.  A marker lies between two facing edges closer than the
+    limit, so every edit moves geometry by less than that limit.  Passes
+    repeat because a fill can leave a new narrow neck nearby; the loop
+    stops at the first sweep with none of those markers, or after
+    ``max_passes`` edits, and returns that last sweep with the mask.
+    """
+    rules = (MRCRules() if rules is None else rules).validated()
+    current = mask_geometry.merged()
+    passes = 0
+    while True:
+        report = check_mask_region(current, rules, with_stats=False)
+        fill = [v.marker for v in report.violations if v.rule_id in _FILLED]
+        trim = [v.marker for v in report.violations if v.rule_id in _TRIMMED]
+        if passes == max_passes or not (fill or trim):
+            return MaskRepair(current, report, passes)
+        if fill:
+            current = current | Region.from_rects(fill)
+        if trim:
+            current = current - Region.from_rects(trim)
+        passes += 1
+
+
+def repair_mask(
+    mask_geometry: Region,
+    rules: Optional[MRCRules] = None,
+    max_passes: int = 3,
+    strict: bool = False,
+) -> Region:
+    """Make a mask MRC-clean with minimal, bounded edits.
+
+    The mask of :func:`repair_mask_region`.  With ``strict=True``
+    blocking markers left by its last sweep raise :class:`OPCError`;
+    otherwise the repaired geometry is returned, possibly still dirty
+    (:func:`repair_mask_residuals` also returns the leftovers).
+    """
+    repair = repair_mask_region(mask_geometry, rules, max_passes)
+    residual = repair.residual
+    if strict and residual:
+        heads = "; ".join(
+            f"{v.rule_id} at {tuple(v.marker)}" for v in residual[:3]
+        )
+        more = f" and {len(residual) - 3} more" if len(residual) > 3 else ""
+        raise OPCError(
+            f"repair_mask left {len(residual)} blocking violation(s) "
+            f"after {max_passes} pass(es): {heads}{more}"
+        )
+    return repair.mask
+
+
+def repair_mask_residuals(
+    mask_geometry: Region,
+    rules: Optional[MRCRules] = None,
+    max_passes: int = 3,
+) -> Tuple[Region, List[MRCViolation]]:
+    """:func:`repair_mask` plus the blocking markers it could not fix.
+
+    The residual list is the last repair sweep's ERROR-severity markers;
+    an empty list is the machine-checked post-condition that the repair
+    converged.
+    """
+    repair = repair_mask_region(mask_geometry, rules, max_passes)
+    return repair.mask, repair.residual

@@ -74,9 +74,10 @@ def run_orc(
     if critical_margin_nm <= 0:
         raise VerificationError("critical margin must be positive")
     target_in_window = target.merged() & Region(window)
-    printed = simulator.printed(
-        mask, window, defocus_nm=corner.defocus_nm, dose=corner.dose
-    )
+    # One latent image serves the printed shapes and the EPE sites: both
+    # develop it at the corner's dose.
+    latent = simulator.latent_image(mask, window, corner.defocus_nm)
+    printed = simulator.printed_from_latent(*latent, window, dose=corner.dose)
     epe_stats, epe_sites = measure_epe_sites(
         simulator,
         mask,
@@ -85,6 +86,7 @@ def run_orc(
         dose=corner.dose,
         defocus_nm=corner.defocus_nm,
         spec=spec,
+        latent=latent,
     )
     pinch = (target_in_window.sized(-critical_margin_nm) - printed).merged()
     bridge = (printed - target_in_window.sized(critical_margin_nm)).merged()

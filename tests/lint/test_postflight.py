@@ -8,6 +8,8 @@ caller explicitly ships it with ``postflight=False``.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.errors import PostflightError
@@ -18,12 +20,14 @@ from repro.flow import (
     flow_quality,
     tapeout_region,
 )
-from repro.geometry import Rect, Region
-from repro.lint import gate_postflight, postflight_mask
+from repro.geometry import Rect, Region, Transform
+from repro.layout import Layer, Library
+from repro.lint import gate_postflight, postflight_mask, postflight_sweep
 from repro.litho import LithoConfig, LithoSimulator, krf_annular
+from repro.mask import mask_data_stats
 from repro.obs import runs as obs_runs
-from repro.opc import ModelOPCRecipe, TilingSpec
-from repro.verify.mrc import MRCRules
+from repro.opc import ModelOPCRecipe, RuleOPCRecipe, TilingSpec
+from repro.verify.mrc import MRCRules, check_mask_region
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +98,68 @@ class TestGatePrimitives:
         assert codes == {"MRC101", "MRC102"}
 
 
+class TestReusedSweep:
+    """A sweep already made of the shipped mask, rendered by
+    postflight_sweep, is the verdict postflight_mask gives, field for
+    field: lint diagnostics (overflow summaries included), markers
+    attributed to their cells, fracture estimate and ledger summary."""
+
+    LAYER = Layer(3, 0)
+
+    def placed(self, rects):
+        """The rects in a child cell placed twice under a top cell."""
+        library = Library("soup")
+        child = library.new_cell("CHILD")
+        child.set_region(self.LAYER, Region.from_rects(rects))
+        top = library.new_cell("TOP")
+        top.place(child, Transform(dx=0))
+        top.place(child, Transform(dx=1000))
+        return top
+
+    def assert_equal_verdicts(self, top, rules):
+        mask = top.flat_region(self.LAYER)
+        direct = postflight_mask(mask, rules, cell=top)
+        sweep = check_mask_region(mask, rules, with_stats=False)
+        reused = postflight_sweep(sweep, mask_data_stats(mask), cell=top)
+        assert reused.mrc == direct.mrc
+        assert reused.mrc.summary_dict() == direct.mrc.summary_dict()
+        assert reused.report.diagnostics == direct.report.diagnostics
+        assert reused.ok == direct.ok
+        return direct
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        boxes=st.lists(
+            st.tuples(
+                st.integers(0, 700), st.integers(0, 700),
+                st.integers(10, 200), st.integers(10, 200),
+            ),
+            min_size=2,
+            max_size=30,
+        ),
+        rules=st.sampled_from(
+            [MRCRules(40, 40), MRCRules(30, 60, min_edge_nm=20, corner_nm=50)]
+        ),
+    )
+    def test_equals_postflight_mask_on_soups(self, boxes, rules):
+        top = self.placed([Rect(x, y, x + w, y + h) for x, y, w, h in boxes])
+        self.assert_equal_verdicts(top, rules)
+
+    def test_equals_postflight_mask_past_the_location_cap(self):
+        slivers = [Rect(60 * i, 0, 60 * i + 20, 100) for i in range(15)]
+        direct = self.assert_equal_verdicts(self.placed(slivers), MRCRules(40, 40))
+        assert any("more min-width" in d.message for d in direct.report.diagnostics)
+        assert {v.cell for v in direct.mrc.violations} == {"CHILD"}
+
+    def test_correct_region_ships_the_verdict_postflight_mask_gives(self):
+        rules = MRCRules(40, 40)
+        result = correct_region(
+            dirty_target(), CorrectionLevel.RULE,
+            rule_recipe=RuleOPCRecipe(hammerhead_extra_nm=30), mrc=rules,
+        )
+        assert result.mrc_report == postflight_mask(result.corrected, rules).mrc
+
+
 class TestCorrectRegionGate:
     def test_dirty_mask_dies_before_returning(self):
         with pytest.raises(PostflightError) as err:
@@ -156,6 +222,10 @@ class TestTapeoutGate:
                 dose=1.0, recipe=recipe, verify=False,
             )
         assert result.mrc_report is not None
+        assert result.mrc_report == postflight_mask(
+            result.mask_geometry, recipe.mrc
+        ).mrc
+        assert result.mrc_clean
         record = obs_runs.RunLedger(tmp_path).load_entry(
             obs_runs.RunLedger(tmp_path).entries()[0]
         )

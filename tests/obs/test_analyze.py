@@ -256,6 +256,21 @@ class TestSLO:
             with pytest.raises(ReproError):
                 analyze.load_slos(path)
 
+    def test_rejected_tables_name_their_file(self, tmp_path):
+        """Every rejected table's error starts with the file's path, as
+        a malformed file's does, standalone or under pyproject.toml."""
+        bad = {
+            "abc.toml": '["m"]\nobjective = "abc"\n',
+            "scalar.toml": 'm = 4.0\n[tool.repro.slo]\nm = 4.0\n',
+            "window.toml": '["m"]\nobjective = 4.0\nwindow = 0\n',
+            "pyproject.toml": '[tool.repro.slo.m]\nobjective = 4.0\nbudget = 1.5\n',
+        }
+        for name, text in bad.items():
+            path = tmp_path / name
+            path.write_text(text)
+            with pytest.raises(ReproError, match="^" + re.escape(f"{path}: SLO 'm' ")):
+                analyze.load_slos(path)
+
     def test_minimal_parser_matches_tomllib(self):
         """The pre-3.11 fallback parses an SLO file exactly like tomllib."""
         tomllib = pytest.importorskip("tomllib")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.errors import VerificationError
 from repro.geometry import Rect, Region
 from repro.litho import LithoConfig, LithoSimulator, binary_mask, krf_annular
@@ -11,10 +12,12 @@ from repro.verify import (
     ProcessCorner,
     epe_sites,
     measure_epe,
+    measure_epe_sites,
     orc_through_window,
     run_orc,
     worst_corner,
 )
+from repro.verify.orc import _filter_area
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +125,35 @@ class TestORC:
         assert len(reports) == 2
         worst = worst_corner(reports)
         assert worst.epe.max_abs_nm >= reports[0].epe.max_abs_nm
+
+    def test_one_latent_image_serves_print_and_epe(
+        self, simulator, target, window, anchor_dose
+    ):
+        """run_orc images its window once, and its report equals the one
+        built from two images: simulator.printed plus measure_epe_sites."""
+        mask = binary_mask(target)
+        corner = ProcessCorner(defocus_nm=300.0, dose=anchor_dose * 1.05)
+        with obs.capture():
+            report = run_orc(simulator, mask, target, window, corner)
+            calls = obs.registry().snapshot()["sim.aerial_calls"]["value"]
+        assert calls == 1
+
+        with obs.capture():
+            printed = simulator.printed(
+                mask, window, defocus_nm=corner.defocus_nm, dose=corner.dose
+            )
+            stats, sites = measure_epe_sites(
+                simulator, mask, target, window,
+                dose=corner.dose, defocus_nm=corner.defocus_nm,
+            )
+            calls = obs.registry().snapshot()["sim.aerial_calls"]["value"]
+        assert calls == 2
+        intent = target.merged() & Region(window)
+        pinch = (intent.sized(-50) - printed).merged()
+        bridge = (printed - intent.sized(50)).merged()
+        assert report.epe == stats and report.sites == sites
+        assert report.pinch_sites.loops == _filter_area(pinch, 400).loops
+        assert report.bridge_sites.loops == _filter_area(bridge, 400).loops
 
     def test_empty_corner_list_rejected(self, simulator, target, window):
         with pytest.raises(VerificationError):

@@ -237,16 +237,61 @@ class TestLegacyShim:
             repair_mask(mask, MRCRules(40, 40), max_passes=0, strict=True)
 
     def test_lenient_repair_skips_the_residual_sweep(self, monkeypatch):
-        """strict=False returns the repaired geometry without sweeping it
-        for leftovers nobody reads; the geometry is the one the checked
-        path returns."""
+        """No sweep result is computed and thrown away.  The sweep *is*
+        the repair: one engine call per fill-and-trim pass plus the
+        sweep that finds nothing left to edit, strict or lenient, and a
+        flow that ships the repaired mask takes that last sweep as its
+        postflight verdict instead of sweeping again."""
+        from repro.flow import CorrectionLevel, correct_region
+        from repro.flow import correct as correct_flow
+        from repro.lint import rules_mask
+        from repro.opc import ISOLATED, BiasRule, BiasTable, RuleOPCRecipe
         from repro.opc import mrc as opc_mrc
+        from repro.verify import mrc as engine
 
-        mask = rects((0, 0, 200, 200), (230, 0, 430, 200))
-        checked, _ = opc_mrc.repair_mask_residuals(mask, MRCRules(40, 40))
+        sweeps = []
+        sweep = engine.check_mask_region
 
-        def no_sweep(*_args, **_kwargs):
-            raise AssertionError("lenient repair ran the residual sweep")
+        def counted(*args, **kwargs):
+            sweeps.append(args[0])
+            return sweep(*args, **kwargs)
 
-        monkeypatch.setattr(opc_mrc, "check_mask_region", no_sweep)
-        assert opc_mrc.repair_mask(mask, MRCRules(40, 40)) == checked
+        # Both bindings a sweep is reached through: the repair loop's and
+        # the postflight lint rules'.
+        monkeypatch.setattr(engine, "check_mask_region", counted)
+        monkeypatch.setattr(rules_mask, "check_mask_region", counted)
+        rules = MRCRules(40, 40)
+        mask = rects((0, 0, 200, 200), (230, 0, 430, 200))  # one gap to fill
+
+        repair = engine.repair_mask_region(mask, rules)
+        assert (repair.passes, len(sweeps)) == (1, 2)
+        assert repair.report.is_clean
+        for strict in (False, True):
+            sweeps.clear()
+            assert opc_mrc.repair_mask(mask, rules, strict=strict) == repair.mask
+            assert len(sweeps) == 2
+        sweeps.clear()
+        assert opc_mrc.repair_mask_residuals(mask, rules) == (repair.mask, [])
+        assert len(sweeps) == 2
+
+        # A rule correction that moves no edge leaves the same gap.
+        repairs = []
+
+        def recorded(*args, **kwargs):
+            repairs.append(engine.repair_mask_region(*args, **kwargs))
+            return repairs[-1]
+
+        monkeypatch.setattr(correct_flow, "repair_mask_region", recorded)
+        sweeps.clear()
+        result = correct_region(
+            mask,
+            CorrectionLevel.RULE,
+            rule_recipe=RuleOPCRecipe(
+                bias_table=BiasTable([BiasRule(ISOLATED, 0)]),
+                line_end_extension_nm=0,
+            ),
+            mrc=rules,
+        )
+        assert [r.passes for r in repairs] == [1]
+        assert len(sweeps) == 2
+        assert result.mrc_report.is_clean and result.corrected == repair.mask
