@@ -123,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="NM",
-        help="post-OPC jog smoothing tolerance in nm (0 = off)",
+        help="post-OPC jog smoothing tolerance in nm (0 = off; ignored at "
+        "--level none)",
     )
     correct.add_argument("-o", "--output", required=True)
     correct.add_argument(
@@ -786,37 +787,22 @@ def _run_correct(args) -> int:
     level = _LEVELS[args.level]
     rules = _NODES[args.node]()
     simulator = None
-    dose = 1.0
     if level in (CorrectionLevel.MODEL, CorrectionLevel.MODEL_SRAF) or args.dose == "auto":
         simulator = LithoSimulator(_litho_config())
-    if args.dose == "auto":
-        anchor = line_space_array(rules.poly_width, rules.poly_space)
-        dose = simulator.dose_to_size(
-            binary_mask(anchor.region),
-            anchor.window,
-            anchor.site("center"),
-            float(rules.poly_width),
-        )
-        print(f"auto dose-to-size: {dose:.3f}")
-    else:
-        dose = float(args.dose)
+    dose = _resolve_dose(args, rules, simulator)
 
     result = correct_region(
         target, level, simulator=simulator, dose=dose,
         dark_field=args.dark_field, parallel=_parallel_spec(args),
         preflight=not args.no_preflight,
         postflight=not args.no_postflight,
+        smooth_tolerance_nm=args.smooth,
     )
-    corrected = result.corrected
-    if args.smooth > 0:
-        from .geometry import smooth_jogs
-
-        corrected = smooth_jogs(corrected, args.smooth)
 
     out = Library(f"{library.name}_opc")
     out_cell = out.new_cell(f"{cell.name}_opc")
     out_cell.set_region(drawn, target)
-    out_cell.set_region(opc_layer(drawn), corrected)
+    out_cell.set_region(opc_layer(drawn), result.corrected)
     if not result.srafs.is_empty:
         out_cell.set_region(sraf_layer(drawn), result.srafs)
     with obs.span("export.gds", path=args.output) as export_span:

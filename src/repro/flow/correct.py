@@ -1,10 +1,10 @@
 """End-to-end correction flows: drawn layer in, mask-ready layer out.
 
 One call applies a named correction level -- none, rule-based,
-model-based, or model-based plus SRAFs -- to a layer of a cell, and
-returns everything the experiments tabulate: the corrected geometry, the
-SRAFs, OPC convergence, mask data statistics and the mask spec to
-simulate.
+model-based, or model-based plus SRAFs -- to a layer of a cell, finishes
+the mask, and returns everything the experiments tabulate: the corrected
+geometry, the SRAFs, OPC convergence, the MRC repair, mask data
+statistics and the mask spec to simulate.
 """
 
 from __future__ import annotations
@@ -14,12 +14,13 @@ from enum import Enum
 from typing import Optional
 
 from ..errors import ReproError
-from ..geometry import Rect, Region
+from ..geometry import Rect, Region, smooth_jogs
 from ..layout import Cell, Layer
-from ..lint import gate_postflight, postflight_mask, postflight_sweep, preflight_correction
+from ..lint import PostflightResult, gate_postflight, postflight_mask
+from ..lint import postflight_sweep, preflight_correction
 from ..litho import BinaryMaskBuilder, LithoSimulator, MaskSpec, binary_mask
 from ..mask import MaskDataStats, mask_data_stats
-from ..verify.mrc import MRCReport, MRCRules, repair_mask_region
+from ..verify.mrc import MaskRepair, MRCReport, MRCRules, repair_mask_region
 from ..obs import (
     current_span as _obs_current_span,
     gauge_set as _obs_gauge_set,
@@ -61,6 +62,9 @@ class FlowResult:
     srafs: Region
     mask: MaskSpec
     data: MaskDataStats
+    #: The MRC repair that finished ``corrected``; its last sweep is the
+    #: mask's verdict.  At level ``none`` it is one sweep and no edit.
+    repair: MaskRepair
     opc: Optional[OPCResult] = None
     runtime_s: float = 0.0
     #: Localized postflight MRC findings (None when the gate was skipped).
@@ -119,8 +123,9 @@ def correct_region(
     preflight: bool = True,
     mrc: Optional[MRCRules] = None,
     postflight: bool = True,
+    smooth_tolerance_nm: int = 0,
 ) -> FlowResult:
-    """Apply ``level`` to a drawn region and collect impact statistics.
+    """Apply ``level`` to a drawn region, finish the mask and collect impact statistics.
 
     Model-based levels need ``simulator`` (and optionally ``window``; the
     target bounding box plus margin by default).  Model correction runs
@@ -136,16 +141,19 @@ def correct_region(
     otherwise) and raises :class:`~repro.errors.PostflightError` on
     blocking defects before anything can be exported.
 
-    Correction levels own the mask-side geometry, so their output gets
-    the standard post-OPC MRC repair (fragmentation jogs routinely
-    leave sub-limit notches; :func:`repro.verify.mrc.repair_mask_region`)
-    before the gate -- postflight is then a convergence assertion, and
-    when no SRAFs join the mask the repair's last sweep is the verdict.
-    Level ``none`` is a pure passthrough: the drawn geometry is never
-    silently edited, so an unwritable input dies at the gate instead of
-    being repaired into something the designer did not draw.
+    The mask is finished here and nowhere else: OPC, jog smoothing
+    (``smooth_tolerance_nm`` > 0, correction levels only), one MRC repair
+    (:func:`repro.verify.mrc.repair_mask_region`), the mask statistics,
+    then postflight -- a convergence assertion for correction levels,
+    and the repair's last sweep is the verdict when no SRAFs join the
+    mask.  Level ``none`` is swept but never edited, so an unwritable
+    input dies at the gate instead of being repaired into something the
+    designer did not draw.
     """
     import dataclasses
+
+    if smooth_tolerance_nm < 0:
+        raise ReproError(f"smooth_tolerance_nm must be >= 0, got {smooth_tolerance_nm}")
 
     # Bracket the flow with run.start/run.end on the live event bus; a
     # correct nested inside a tapeout adds no events of its own.
@@ -217,19 +225,25 @@ def correct_region(
         else:  # pragma: no cover - enum is exhaustive
             raise ReproError(f"unknown correction level {level}")
 
-        # Post-OPC MRC repair, mirroring the tapeout pipeline: OPC edge
-        # moves routinely leave sub-limit notches and slivers that the
-        # standard fix-up (fill spaces, trim widths) removes.  Level
-        # ``none`` never repairs -- drawn geometry is the user's, and
+        smooth = smooth_tolerance_nm > 0 and level != CorrectionLevel.NONE
+        with _obs_span("correct.smooth", skipped=not smooth) as smooth_span:
+            if smooth:
+                before = corrected.num_vertices
+                corrected = smooth_jogs(corrected, smooth_tolerance_nm)
+                smooth_span.set(
+                    vertices_before=before, vertices_after=corrected.num_vertices
+                )
+
+        # OPC edge moves and smoothing leave sub-limit notches and slivers
+        # that the standard fix-up (fill spaces, trim widths) removes.
+        # Level ``none`` only sweeps: drawn geometry is the user's, and
         # deleting an unwritable feature is worse than rejecting it.
-        repair = None
-        with _obs_span(
-            "correct.repair", skipped=level == CorrectionLevel.NONE
-        ) as repair_span:
-            if level != CorrectionLevel.NONE:
-                repair = repair_mask_region(corrected, mrc or MRCRules())
-                corrected = repair.mask
-                repair_span.set(changed=repair.passes > 0)
+        with _obs_span("correct.repair") as repair_span:
+            repair = repair_mask_region(
+                corrected, mrc or MRCRules(), max_passes=0 if level == CorrectionLevel.NONE else 3
+            )
+            corrected = repair.mask
+            repair_span.set(changed=repair.passes > 0, clean=not repair.report.has_errors)
 
         mask = binary_mask(
             corrected,
@@ -240,32 +254,25 @@ def correct_region(
         data = mask_data_stats(combined)
         correct_span.set(figures=data.figures, vertices=data.vertices)
         _obs_gauge_set("mask.vertices", data.vertices)
+        result = FlowResult(
+            level=level, target=merged, corrected=corrected, srafs=srafs,
+            mask=mask, data=data, repair=repair, opc=opc_result,
+        )
 
         # The mirror of the preflight gate: statically verify the mask
         # we are about to hand downstream, and refuse to hand it over
         # when the mask shop would bounce it.
-        mrc_report: Optional[MRCReport] = None
         with _obs_span(
             "correct.postflight", skipped=not postflight
         ) as postflight_span:
             if postflight:
-                # The repaired mask ships as is: its last repair sweep is
-                # the check postflight_mask would make again.
-                if repair is not None and srafs.is_empty:
-                    post = postflight_sweep(repair.report, data)
-                else:
-                    post = postflight_mask(combined, mrc)
-                mrc_report = post.mrc
-                postflight_span.set(
-                    errors=post.report.error_count,
-                    warnings=post.report.warning_count,
-                    violations=len(post.mrc.violations),
-                    shots=post.mrc.shot_count,
-                )
+                post = _postflight(result, mrc, postflight_span)
+                result.mrc_report = post.mrc
                 _obs_gauge_set("mask.shot_count", post.mrc.shot_count)
                 _obs_gauge_set("mask.figure_count", post.mrc.figure_count)
                 _obs_gauge_set("mask.vertex_count", post.mrc.vertex_count)
                 gate_postflight(post, stage="correct")
+    result.runtime_s = correct_span.duration_s
     # Standalone instrumented runs (not nested under a tapeout span) land
     # in the persistent run ledger when $REPRO_RUNS_DIR is set.
     if (
@@ -273,6 +280,7 @@ def correct_region(
         and _obs_current_span() is None
         and _obs_runs.auto_enabled()
     ):
+        mrc_report = result.mrc_report
         quality = flow_quality(data, opc_result, mrc_report)
         _obs_publish_quality(quality)
         _obs_runs.record_run(
@@ -296,17 +304,28 @@ def correct_region(
             events=run_events,
             mrc=mrc_report.summary_dict() if mrc_report is not None else None,
         )
-    return FlowResult(
-        level=level,
-        target=merged,
-        corrected=corrected,
-        srafs=srafs,
-        mask=mask,
-        data=data,
-        opc=opc_result,
-        runtime_s=correct_span.duration_s,
-        mrc_report=mrc_report,
+    return result
+
+
+def _postflight(
+    correction: FlowResult, rules: Optional[MRCRules], span, cell: Optional[Cell] = None
+) -> PostflightResult:
+    """The postflight verdict of a finished correction, set on ``span`` but not gated.
+
+    Without SRAFs the repair's last sweep is the check; SRAFs join the
+    shipped mask, which then gets one sweep of its own.
+    """
+    if correction.srafs.is_empty:
+        post = postflight_sweep(correction.repair.report, correction.data, cell)
+    else:
+        post = postflight_mask(correction.mask_region, rules, cell=cell)
+    span.set(
+        errors=post.report.error_count,
+        warnings=post.report.warning_count,
+        violations=len(post.mrc.violations),
+        shots=post.mrc.shot_count,
     )
+    return post
 
 
 def correct_cell_layer(

@@ -1,9 +1,10 @@
 """The one-call tape-out pipeline: drawn layer in, writable mask out.
 
-Chains the production sequence -- retarget, correct (tiled model OPC or
-cheaper levels), jog-smooth, MRC repair -- and verifies the result with
-ORC, returning everything a sign-off review needs.  This is the function
-a downstream user adopting the library calls first.
+Chains the production sequence -- retarget, correct (OPC, jog smoothing
+and MRC repair, all in :func:`~repro.flow.correct.correct_region`) --
+and verifies the result with ORC, returning everything a sign-off review
+needs.  This is the function a downstream user adopting the library
+calls first.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ReproError
-from ..geometry import Rect, Region, smooth_jogs
+from ..geometry import Rect, Region
 from ..layout import Cell, Layer
-from ..litho import LithoSimulator, binary_mask
-from ..mask import MaskDataStats, mask_data_stats
+from ..litho import LithoSimulator
+from ..mask import MaskDataStats
 from ..obs import current_span as _obs_current_span, span as _obs_span
 from ..obs import publish_quality as _obs_publish_quality
 from ..obs import events as _obs_events
@@ -30,10 +31,10 @@ from ..opc import (
     TilingSpec,
     retarget,
 )
-from ..lint import gate_postflight, postflight_mask, postflight_sweep, preflight_tapeout
+from ..lint import gate_postflight, preflight_tapeout
 from ..verify import ORCReport, ProcessCorner, run_orc
-from ..verify.mrc import MRCReport as MaskMRCReport, repair_mask_region
-from .correct import CorrectionLevel, FlowResult, correct_region
+from ..verify.mrc import MRCReport as MaskMRCReport
+from .correct import CorrectionLevel, FlowResult, _postflight, correct_region
 
 
 @dataclass(frozen=True)
@@ -91,16 +92,26 @@ class TapeoutResult:
 
     recipe: TapeoutRecipe
     target: Region
-    mask_geometry: Region
     correction: FlowResult
-    data: MaskDataStats
-    #: The last MRC repair sweep left no blocking (error) marker on the
-    #: repaired features -- the verdict the postflight gate gives them.
-    mrc_clean: bool
     orc: Optional[ORCReport]
     #: Localized postflight MRC findings on the final mask (None when
     #: the postflight gate was skipped).
     mrc_report: Optional[MaskMRCReport] = None
+
+    @property
+    def mask_geometry(self) -> Region:
+        """The shipped main features: the correction's repaired mask."""
+        return self.correction.corrected
+
+    @property
+    def data(self) -> MaskDataStats:
+        """Mask data statistics of the shipped mask, SRAFs included."""
+        return self.correction.data
+
+    @property
+    def mrc_clean(self) -> bool:
+        """The repair's last sweep has no blocking marker: the postflight verdict."""
+        return not self.correction.repair.report.has_errors
 
     @property
     def signoff_ok(self) -> bool:
@@ -128,12 +139,13 @@ def tapeout_region(
     ``preflight`` statically lints the job (layout + recipe + litho
     config, see :mod:`repro.lint`) before the first simulator call and
     raises :class:`~repro.errors.PreflightError` on blocking findings;
-    pass ``False`` to skip the gate.  ``postflight`` symmetrically runs
-    the localized MRC engine over the repaired mask (after SRAF merge)
-    and raises :class:`~repro.errors.PostflightError` on blocking
-    defects; the repair stage makes this a convergence assertion rather
-    than a routine failure, and without SRAFs the repair's last sweep is
-    that check.
+    pass ``False`` to skip the gate.  :func:`correct_region` finishes the
+    mask (smoothing at ``recipe.smooth_tolerance_nm``, one MRC repair),
+    and the result reuses its mask, repair, statistics and mask spec.
+    ``postflight`` renders that repair's verdict on the shipped mask
+    (after SRAF merge) with markers attributed to ``source_cell``, and
+    raises :class:`~repro.errors.PostflightError` on blocking defects.
+    Level ``none`` ships the drawn geometry unedited, or its gate raises.
     """
     merged = drawn.merged()
     if merged.is_empty:
@@ -185,60 +197,24 @@ def tapeout_region(
                 parallel=recipe.parallel,
                 preflight=False,  # the tapeout-level gate already ran
                 mrc=recipe.mrc,
-                # Raw OPC output gets repaired below; gating it here
-                # would reject masks the repair stage is about to fix.
+                # The gate below attributes markers to source_cell and
+                # names the tapeout stage; per-tile advisory MRC stays off.
                 postflight=False,
+                smooth_tolerance_nm=recipe.smooth_tolerance_nm,
             )
 
-        with _obs_span(
-            "tapeout.smooth", skipped=recipe.smooth_tolerance_nm <= 0
-        ) as smooth_span:
-            mask_geometry = correction.corrected
-            if recipe.smooth_tolerance_nm > 0:
-                before = mask_geometry.num_vertices
-                mask_geometry = smooth_jogs(
-                    mask_geometry, recipe.smooth_tolerance_nm
-                )
-                smooth_span.set(
-                    vertices_before=before,
-                    vertices_after=mask_geometry.num_vertices,
-                )
-
-        with _obs_span("tapeout.mrc") as mrc_span:
-            repair = repair_mask_region(mask_geometry, recipe.mrc)
-            mask_geometry = repair.mask
-            mrc_clean = not repair.report.has_errors
-            mrc_span.set(clean=mrc_clean)
-        combined = (
-            mask_geometry | correction.srafs
-            if not correction.srafs.is_empty
-            else mask_geometry
-        )
-        data = mask_data_stats(combined)
-
         # Postflight: the shipped mask (repaired features plus SRAFs)
-        # verified by the localized edge engine.  Without SRAFs the
-        # repair's last sweep already is that check; a raise here means
-        # the repair failed to converge and the mask must not leave the
-        # process.
+        # verified by the localized edge engine; a raise here means the
+        # mask must not leave the process.
         mrc_report: Optional[MaskMRCReport] = None
         with _obs_span(
             "tapeout.postflight", skipped=not postflight
         ) as postflight_span:
             if postflight:
-                if correction.srafs.is_empty:
-                    post = postflight_sweep(repair.report, data, source_cell)
-                else:
-                    post = postflight_mask(
-                        combined, recipe.mrc, cell=source_cell
-                    )
-                mrc_report = post.mrc
-                postflight_span.set(
-                    errors=post.report.error_count,
-                    warnings=post.report.warning_count,
-                    violations=len(post.mrc.violations),
-                    shots=post.mrc.shot_count,
+                post = _postflight(
+                    correction, recipe.mrc, postflight_span, source_cell
                 )
+                mrc_report = post.mrc
                 gate_postflight(post, stage="tapeout")
 
         orc_report: Optional[ORCReport] = None
@@ -246,13 +222,7 @@ def tapeout_region(
             if verify:
                 orc_report = run_orc(
                     simulator,
-                    binary_mask(
-                        mask_geometry,
-                        dark_field=recipe.dark_field,
-                        srafs=correction.srafs
-                        if not correction.srafs.is_empty
-                        else None,
-                    ),
+                    correction.mask,
                     target,
                     window,
                     ProcessCorner(dose=dose),
@@ -260,22 +230,19 @@ def tapeout_region(
                 )
                 orc_span.set(clean=orc_report.is_clean)
 
+        result = TapeoutResult(
+            recipe=recipe,
+            target=target,
+            correction=correction,
+            orc=orc_report,
+            mrc_report=mrc_report,
+        )
         tapeout_span.set(
-            figures=data.figures,
-            vertices=data.vertices,
-            mrc_clean=mrc_clean,
+            figures=result.data.figures,
+            vertices=result.data.vertices,
+            mrc_clean=result.mrc_clean,
         )
 
-    result = TapeoutResult(
-        recipe=recipe,
-        target=target,
-        mask_geometry=mask_geometry,
-        correction=correction,
-        data=data,
-        mrc_clean=mrc_clean,
-        orc=orc_report,
-        mrc_report=mrc_report,
-    )
     # Root instrumented tapeouts append themselves to the persistent run
     # ledger when $REPRO_RUNS_DIR is set (see repro.obs.runs).
     if (

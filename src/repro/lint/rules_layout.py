@@ -175,12 +175,12 @@ def check_degenerate_loops(ctx: LintContext) -> Iterator[Diagnostic]:
     "self-intersecting-loop",
     "Loops whose boundary crosses itself; winding rules make the "
     "printed polarity of the pinched lobes ambiguous.",
+    # Canonical (merged) loops cannot cross themselves, so only the raw
+    # input loops are worth the quadratic scan.
+    requires=("raw_loops",),
 )
 def check_self_intersections(ctx: LintContext) -> Iterator[Diagnostic]:
-    loops = _vertex_loops(ctx)
-    if loops is None:
-        return
-    for loop in loops:
+    for loop in ctx.raw_loops:
         points = [(int(x), int(y)) for x, y in loop]
         crossing = _first_self_crossing(points)
         if crossing is None:

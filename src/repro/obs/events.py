@@ -79,11 +79,11 @@ PHASE_SPANS = frozenset(
         "tapeout.preflight",
         "tapeout.retarget",
         "tapeout.correct",
-        "tapeout.smooth",
-        "tapeout.mrc",
         "tapeout.orc",
         "correct.preflight",
         "correct.sraf",
+        "correct.smooth",
+        "correct.repair",
         "opc.parallel",
     }
 )

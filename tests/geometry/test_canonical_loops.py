@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Rect, Region
+from repro.lint import LintContext, run_lint
 
 SPAN = 16
 
@@ -62,6 +63,22 @@ def test_boolean_results_re_merge_to_themselves(a, b, op):
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_sized_results_re_merge_to_themselves(a, amount):
     assert_re_merges_to_itself(a.sized(amount))
+
+
+@given(
+    a=soups(),
+    b=soups(),
+    op=st.sampled_from(OPS),
+    amount=st.integers(min_value=-12, max_value=14),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_result_loops_never_cross_themselves(a, b, op, amount):
+    """Why LNT204 (self-intersecting loop) reads raw input loops only."""
+    for result in (op(a, b), a.sized(amount)):
+        report = run_lint(
+            LintContext(raw_loops=result.loops), codes=["LNT204"]
+        )
+        assert not report.diagnostics
 
 
 def test_hole_start_ignores_a_grid_line_the_result_does_not_use():

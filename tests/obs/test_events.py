@@ -235,7 +235,7 @@ class TestPhaseHooks:
     def test_phase_hooks_fire_with_recording_enabled_too(self):
         ring = ev.bus().attach(obs.RingBufferSink())
         obs.enable()
-        with obs.span("tapeout.mrc"):
+        with obs.span("correct.repair"):
             pass
         assert _drain_ring(ring) == ["phase.start", "phase.end"]
 

@@ -19,8 +19,8 @@ STAGES = [
     "tapeout.preflight",
     "tapeout.retarget",
     "tapeout.correct",
-    "tapeout.smooth",
-    "tapeout.mrc",
+    "correct.smooth",
+    "correct.repair",
     "tapeout.orc",
 ]
 

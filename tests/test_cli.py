@@ -188,6 +188,13 @@ class TestBadInput:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {trace}: ")
 
+    def test_negative_smoothing_is_rejected(self, stdcell_gds, tmp_path, capsys):
+        code = self.correct(stdcell_gds, tmp_path, "--dose", "1.0", "--smooth", "-1")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "smooth" in err
+        assert not (tmp_path / "out.gds").exists()
+
     def test_missing_input_gds(self, tmp_path, capsys):
         gds = tmp_path / "missing.gds"
         assert self.correct(gds, tmp_path, "--dose", "1.0") == 2

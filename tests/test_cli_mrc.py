@@ -1,14 +1,16 @@
 """End-to-end tests for ``repro mrc`` and the ``correct`` postflight gate."""
 
 import json
+import re
 
 import pytest
 
 from repro import obs
 from repro.cli import main
+from repro.flow import CorrectionLevel, correct_region
 from repro.geometry import Rect
 from repro.layout import Layer
-from repro.layout.gds import write_gds
+from repro.layout.gds import read_gds, write_gds
 from repro.layout.library import Library
 from repro.obs import runs as obs_runs
 from repro.obs.trace import Span
@@ -38,6 +40,27 @@ def dirty_gds(tmp_path_factory):
     cell.add(POLY, Rect(460, 0, 690, 200))
     path = tmp_path_factory.mktemp("mrc") / "dirty.gds"
     write_gds(lib, path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def jog_gds(tmp_path_factory):
+    """A 4 nm jog 42 nm from a neighbour: smoothing the jog away would
+    leave a 38 nm gap (MRC102 under the 40 nm limit)."""
+    lib = Library("jog")
+    cell = lib.new_cell("JOG")
+    cell.add(POLY, Rect(0, 0, 100, 200))
+    cell.add(POLY, Rect(0, 0, 104, 180))
+    cell.add(POLY, Rect(142, 185, 300, 400))
+    path = tmp_path_factory.mktemp("mrc") / "jog.gds"
+    write_gds(lib, path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def block_gds(tmp_path_factory):
+    path = tmp_path_factory.mktemp("mrc") / "block.gds"
+    assert main(["generate", "block", "-o", str(path)]) == 0
     return path
 
 
@@ -164,6 +187,43 @@ class TestCorrectGate:
         ])
         assert code == 0
         assert out.exists()
+
+    @pytest.mark.parametrize(
+        "fixture, level", [("jog_gds", "none"), ("block_gds", "rule")]
+    )
+    def test_exported_mask_is_the_signed_off_mask(
+        self, fixture, level, request, tmp_path, capsys
+    ):
+        """--smooth finishes the mask before the gate, so the file written
+        is the mask postflight signed off (level none ignores it)."""
+        gds = request.getfixturevalue(fixture)
+        out = tmp_path / "opc.gds"
+        capsys.readouterr()
+        assert main([
+            "correct", str(gds), "--layer", "3", "--level", level,
+            "--dose", "1.0", "--no-preflight", "--smooth", "4",
+            "-o", str(out),
+        ]) == 0
+        signed = re.search(
+            r"(\d+) vertices, (\d+) shots", capsys.readouterr().out
+        ).groups()
+
+        assert main([
+            "mrc", str(out), "--layer", "3", "--datatype", "10",
+        ]) == 0
+        scanned = re.search(
+            r"(\d+) vertices, ~(\d+) VSB shots", capsys.readouterr().out
+        ).groups()
+        assert scanned == signed
+
+        # The export keeps the drawn layer beside the corrected one.
+        exported = read_gds(out).top_cell()
+        result = correct_region(
+            exported.flat_region(POLY), CorrectionLevel(level), dose=1.0,
+            preflight=False, smooth_tolerance_nm=4,
+        )
+        written = exported.flat_region(Layer(3, 10))
+        assert written.merged().loops == result.corrected.loops
 
     def test_clean_mask_reports_postflight_verdict(
         self, clean_gds, tmp_path, capsys
