@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     runs_list.add_argument("--label", help="only runs with this label")
     runs_list.add_argument("--fingerprint", help="only runs with this config")
     runs_list.add_argument(
-        "-n", type=int, default=20, dest="limit",
+        "-n", type=_int_at_least(1), default=20, dest="limit",
         help="show at most N most recent runs (default 20)",
     )
     runs_list.add_argument(
@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--run", default="last", help="candidate run reference (default last)"
     )
     runs_check.add_argument(
-        "--baseline", type=int, default=3, metavar="N",
+        "--baseline", type=_int_at_least(1), default=3, metavar="N",
         help="median over up to N prior same-fingerprint runs (default 3)",
     )
     runs_check.add_argument(
@@ -421,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="analyze this config group (default: the newest run's)",
     )
     runs_analyze.add_argument(
-        "--limit", type=int, default=obs_analyze.HISTORY_WINDOW, metavar="N",
+        "--limit", type=_int_at_least(1), default=obs_analyze.HISTORY_WINDOW,
+        metavar="N",
         help="analyze at most the N most recent matching runs "
         f"(default {obs_analyze.HISTORY_WINDOW})",
     )
@@ -444,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output HTML path (default repro-runs.html)",
     )
     runs_report.add_argument(
-        "--limit", type=int, default=50,
+        "--limit", type=_int_at_least(1), default=50,
         help="include at most N most recent runs (default 50)",
     )
 

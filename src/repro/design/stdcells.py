@@ -164,8 +164,3 @@ class StdCellGenerator:
         for spec in STANDARD_CELLS:
             lib.add(self.make_cell(spec))
         return lib
-
-
-def cell_by_name(library: Library, name: str) -> Cell:
-    """Convenience lookup mirroring ``library[name]``."""
-    return library[name]

@@ -8,7 +8,7 @@ plain ``(x, y)`` tuples for speed; ``Point`` is the user-facing type.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Tuple
 
 Coord = Tuple[int, int]
 
@@ -62,9 +62,3 @@ def as_coord(point: "Point | Coord") -> Coord:
     """Normalise a point-like value to a plain ``(x, y)`` integer tuple."""
     x, y = point
     return (int(x), int(y))
-
-
-def iter_coords(points: Sequence["Point | Coord"]) -> Iterator[Coord]:
-    """Yield every point of a sequence as a plain integer tuple."""
-    for point in points:
-        yield as_coord(point)

@@ -28,6 +28,10 @@ pieces:
   per-span CPU-vs-wall seconds, tracemalloc per phase, deterministic
   cross-process profile merging and stdlib-only flame-graph SVG/HTML.
 
+A process pool's workers send everything they recorded back in one
+:class:`WorkerTelemetry` envelope per job (:func:`init_worker`,
+:func:`record_worker`, :func:`absorb_workers`).
+
 Everything is off by default and costs one boolean test per guarded
 call; wrap a run in :func:`capture` (or call :func:`enable`) to record::
 
@@ -41,8 +45,9 @@ call; wrap a run in :func:`capture` (or call :func:`enable`) to record::
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from contextlib import ExitStack, contextmanager
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from .analyze import (
     SLO,
@@ -78,6 +83,7 @@ from .events import (
 )
 from .events import bus as event_bus
 from .events import emit as emit_event
+from .events import install_worker_forwarding as _forward_worker_events
 from .expo import (
     CONTENT_TYPE,
     MetricsServer,
@@ -114,7 +120,7 @@ from .prof import (
     PROF_SCHEMA,
     Profile,
     SamplingProfiler,
-    absorb_worker_profiles,
+    active_hz,
     active_profiler,
     collapsed_text,
     flame_html,
@@ -138,7 +144,6 @@ from .runs import (
     RunDiff,
     RunLedger,
     RunRecord,
-    check_regressions,
     config_fingerprint,
     dashboard_html,
     diff_markdown,
@@ -162,6 +167,7 @@ from .spatial import (
 )
 from .state import disable, enable, enabled, enabled_scope
 from .trace import Span, current_span, merge_spans, span, take_finished
+from .trace import reset_worker_state as _reset_worker_state
 from .watch import read_events, render_frame, replay, tail_events, watch_live
 
 __all__ = [
@@ -202,14 +208,15 @@ __all__ = [
     "SUPPORTED_SCHEMAS",
     "SamplingProfiler",
     "Span",
+    "WorkerTelemetry",
+    "absorb_workers",
     "analyze_markdown",
     "analyze_records",
-    "absorb_worker_profiles",
+    "active_hz",
     "active_profiler",
     "attribute_sites",
     "canonical_spatial",
     "capture",
-    "check_regressions",
     "chrome_trace_events",
     "collapsed_text",
     "config_fingerprint",
@@ -252,6 +259,7 @@ __all__ = [
     "enabled_scope",
     "event_bus",
     "gauge_set",
+    "init_worker",
     "merge_snapshot",
     "merge_spans",
     "metrics_markdown",
@@ -261,6 +269,7 @@ __all__ = [
     "publish_quality",
     "read_events",
     "record_run",
+    "record_worker",
     "registry",
     "render_frame",
     "replay",
@@ -322,3 +331,82 @@ def capture(fresh_metrics: bool = True) -> Iterator[Capture]:
             yield capture_result
         finally:
             capture_result.roots = take_finished()
+
+
+@dataclass
+class WorkerTelemetry:
+    """What one pool job recorded in its worker, as picklable plain data.
+
+    Filled by :func:`record_worker`, folded in by :func:`absorb_workers`;
+    a part the parent did not ask for stays empty.
+    """
+
+    #: The job's root span trees, as :func:`span_to_dict` documents.
+    spans: List[Dict[str, Any]] = field(default_factory=list)
+    #: The job's metric snapshot (:meth:`MetricsRegistry.snapshot` format).
+    metrics: Optional[Dict[str, Any]] = None
+    #: The job's sampled profile, as a :func:`profile_to_dict` document.
+    profile: Optional[Dict[str, Any]] = None
+
+
+def init_worker(events_queue: Optional[Any] = None) -> None:
+    """Reset the telemetry a ``fork``-ed pool worker inherited.
+
+    Drops the parent's finished spans and span stack, turns recording
+    off (:func:`record_worker` turns it on per job), and sends the
+    worker's events over ``events_queue`` only, never into the parent's
+    sinks (``None``: live telemetry is off).
+    """
+    take_finished()
+    _reset_worker_state()
+    disable()
+    _forward_worker_events(events_queue)
+
+
+@contextmanager
+def record_worker(observe: bool, profile_hz: float) -> Iterator[WorkerTelemetry]:
+    """Record one pool job's ``with`` body the way the parent records.
+
+    ``observe`` captures spans and metrics, else recording is forced off;
+    ``profile_hz > 0`` samples the body at that rate.  The yielded
+    envelope is filled only when the body returns, so a failed attempt
+    ships nothing and a retried job never counts twice.
+    """
+    telemetry = WorkerTelemetry()
+    with ExitStack() as stack:
+        profiler = SamplingProfiler(hz=profile_hz) if profile_hz > 0 else None
+        if profiler is not None:
+            stack.enter_context(profiler)
+        cap = stack.enter_context(capture() if observe else enabled_scope(False))
+        yield telemetry
+    if cap is not None:
+        telemetry.spans = [span_to_dict(root) for root in cap.roots]
+        telemetry.metrics = registry().snapshot()
+    if profiler is not None:
+        telemetry.profile = profile_to_dict(profiler.profile)
+
+
+def absorb_workers(
+    parent_span: Span, envelopes: Sequence[Optional[WorkerTelemetry]]
+) -> None:
+    """Fold pool workers' envelopes into this process, in job order.
+
+    Spans graft under ``parent_span``, metric snapshots merge into the
+    registry, and the profiles fold into the active profiler (if any)
+    under ``parent_span``'s name in one :func:`merge_profiles` call.
+    ``None`` entries, jobs that ran in this process, are skipped.
+    """
+    profiles: List[Profile] = []
+    for telemetry in envelopes:
+        if telemetry is None:
+            continue
+        if telemetry.spans:
+            merge_spans(parent_span, [span_from_dict(doc) for doc in telemetry.spans])
+        if telemetry.metrics:
+            merge_snapshot(telemetry.metrics)
+        if telemetry.profile is not None:
+            profiles.append(profile_from_dict(telemetry.profile))
+    profiler = active_profiler()
+    if profiler is not None and profiles:
+        with profiler._lock:  # the sampler thread may be mid-tick
+            merge_profiles(profiler.profile, profiles, prefix=parent_span.name)

@@ -1,10 +1,9 @@
 """Statistical regression intelligence over the run ledger.
 
-:func:`repro.obs.runs.check_regressions` gates one candidate against a
-baseline median with hand-tuned thresholds -- it cannot tell drift from
-noise, it flags flaky metrics, and it never says *which* run broke the
-trend.  This module is the read-side analysis layer that fixes that, all
-learned from the ledger's own same-fingerprint history:
+A fixed relative threshold cannot tell drift from noise, flags flaky
+metrics, and never says *which* run broke the trend.  This module is the
+read-side analysis layer that fixes that, all learned from the ledger's
+own same-fingerprint history:
 
 * :func:`robust_stats` -- median / MAD statistics (``sigma = 1.4826 *
   MAD``, population-stdev fallback when the MAD degenerates to zero).
@@ -13,13 +12,15 @@ learned from the ledger's own same-fingerprint history:
 * :func:`flakiness` -- robust coefficient of variation; metrics above
   the threshold demote from FAIL to WARN in the gate.
 * :func:`learn_floors` -- per-span noise floors and per-quality margins
-  (``k * sigma``) replacing the hand-tuned ``abs_floor_s``.
+  (``k * sigma``) replacing the fixed ``abs_floor_s``.
 * :func:`load_slos` -- declared per-metric SLO budgets from
   ``repro-slo.toml`` or ``pyproject.toml [tool.repro.slo]``.
 * :func:`analyze_records` / :func:`report_markdown` -- the trend report
   behind ``repro runs analyze`` (sparklines, change points, SLO burn).
-* :func:`gate` -- the single entry point ``repro runs check`` calls:
-  plain or adaptive thresholds plus SLO verdicts, one
+* :func:`gate` -- the one regression gate, behind ``repro runs check``:
+  a candidate against the median of baseline runs, with the fixed
+  :class:`~repro.obs.runs.RegressionPolicy` thresholds or adaptive
+  ones, plus SLO verdicts, one
   :class:`~repro.obs.runs.RegressionReport` out.
 
 Everything here is deterministic: same ledger bytes in, same report
@@ -34,7 +35,6 @@ from pathlib import Path
 from statistics import median, pstdev
 from typing import (
     Any,
-    Collection,
     Dict,
     List,
     Mapping,
@@ -47,11 +47,13 @@ from typing import (
 
 from ..errors import ReproError
 from .runs import (
+    HIGHER_IS_BETTER,
+    Comparison,
     Regression,
     RegressionPolicy,
     RegressionReport,
     RunRecord,
-    check_regressions,
+    _num,
     flatten_metrics,
 )
 
@@ -114,10 +116,6 @@ class RobustStats:
     sigma: float
     minimum: float
     maximum: float
-
-
-def _as_float(value: Any) -> Optional[float]:
-    return float(value) if isinstance(value, (int, float)) else None
 
 
 def robust_stats(values: Sequence[float]) -> RobustStats:
@@ -207,16 +205,14 @@ def _diff_sigma(values: Sequence[float]) -> float:
     return sigma
 
 
-def _best_split(
-    values: Sequence[float], k: float, h: float
-) -> Optional[Tuple[int, str, float]]:
+def _best_split(values: Sequence[float]) -> Optional[Tuple[int, str, float]]:
     """``(split, direction, score)`` of the strongest mean shift.
 
     ``split`` is the first sample of the new regime -- the ``t``
     maximizing the standardized CUSUM statistic ``|C_t| / (sigma *
     sqrt(t (n-t) / n))`` with ``C_t = sum_{i<t} (x_i - mean)``.  Returns
-    ``None`` when the best split scores below ``h`` or shifts the
-    median by less than ``k`` sigmas.
+    ``None`` when the best split scores below :data:`DEFAULT_CUSUM_H` or
+    shifts the median by less than :data:`DEFAULT_CUSUM_K` sigmas.
     """
     n = len(values)
     sigma = _diff_sigma(values)
@@ -232,20 +228,16 @@ def _best_split(
             best = (score, t)
     assert best is not None  # n >= MIN_SERIES_LEN > 1
     score, split = best
-    if score <= h:
+    if score <= DEFAULT_CUSUM_H:
         return None
     before = median(values[:split])
     after = median(values[split:])
-    if abs(after - before) < k * sigma:
+    if abs(after - before) < DEFAULT_CUSUM_K * sigma:
         return None
     return split, "up" if after > before else "down", score
 
 
-def cusum_changepoints(
-    values: Sequence[float],
-    k_sigma: float = DEFAULT_CUSUM_K,
-    h_sigma: float = DEFAULT_CUSUM_H,
-) -> List[ChangePoint]:
+def cusum_changepoints(values: Sequence[float]) -> List[ChangePoint]:
     """Regime shifts in ``values``, localized by standardized CUSUM.
 
     Binary segmentation: the strongest split divides the series and
@@ -258,7 +250,7 @@ def cusum_changepoints(
     def segment(data: List[float], offset: int, depth: int) -> None:
         if len(data) < MIN_SERIES_LEN or depth > 12:
             return
-        hit = _best_split(data, k_sigma, h_sigma)
+        hit = _best_split(data)
         if hit is None:
             return
         split, direction, score = hit
@@ -305,11 +297,11 @@ def extract_series(
     for record in records:
         row: Dict[str, float] = {"run.wall_s": float(record.wall_s)}
         for key in sorted(record.quality):
-            value = _as_float(record.quality[key])
+            value = _num(record.quality[key])
             if value is not None:
                 row[f"quality.{key}"] = value
         for name, value in flatten_metrics(record.metrics).items():
-            number = _as_float(value)
+            number = _num(value)
             if number is not None:
                 # quality.* gauges were already lifted from the quality
                 # dict above; setdefault keeps the two from clashing.
@@ -346,16 +338,15 @@ class AdaptiveFloors:
     n_history: int
 
 
-def learn_floors(
-    history: Sequence[RunRecord], k: float = DEFAULT_FLOOR_K
-) -> AdaptiveFloors:
+def learn_floors(history: Sequence[RunRecord]) -> AdaptiveFloors:
     """``k * sigma`` floors from ``history``, per span path and quality key.
 
-    A path or key needs at least two history samples to learn from;
-    anything rarer keeps the caller's fixed policy.  Deterministic
-    quality metrics (sigma exactly zero across the history) get a zero
-    margin: under the repo's determinism contract any change to them is
-    a real change, so the gate is exact-match.
+    ``k`` is :data:`DEFAULT_FLOOR_K`.  A path or key needs at least two
+    history samples to learn from; anything rarer keeps the caller's
+    fixed policy.  Deterministic quality metrics (sigma exactly zero
+    across the history) get a zero margin: under the repo's determinism
+    contract any change to them is a real change, so the gate is
+    exact-match.
     """
     records = list(history)
     span_samples: Dict[str, List[float]] = {}
@@ -363,7 +354,7 @@ def learn_floors(
         for path, timing in record.span_times().items():
             span_samples.setdefault(path, []).append(timing.total_s)
     span_floor = {
-        path: max(k * robust_stats(samples).sigma, MIN_SPAN_FLOOR_S)
+        path: max(DEFAULT_FLOOR_K * robust_stats(samples).sigma, MIN_SPAN_FLOOR_S)
         for path, samples in sorted(span_samples.items())
         if len(samples) >= 2
     }
@@ -372,11 +363,11 @@ def learn_floors(
         if not name.startswith("quality.") or len(series.values) < 2:
             continue
         key = name[len("quality."):]
-        quality_margin[key] = k * robust_stats(series.values).sigma
+        quality_margin[key] = DEFAULT_FLOOR_K * robust_stats(series.values).sigma
     return AdaptiveFloors(
         span_floor_s=span_floor,
         quality_margin=quality_margin,
-        k=k,
+        k=DEFAULT_FLOOR_K,
         n_history=len(records),
     )
 
@@ -690,9 +681,6 @@ def analyze_records(
     records: Sequence[RunRecord],
     metrics: Optional[Sequence[str]] = None,
     slos: Optional[Mapping[str, SLO]] = None,
-    cusum_k: float = DEFAULT_CUSUM_K,
-    cusum_h: float = DEFAULT_CUSUM_H,
-    flaky_threshold: float = DEFAULT_FLAKY_THRESHOLD,
 ) -> AnalyzeReport:
     """Robust stats, change points, flaky scores and SLO burn for a group.
 
@@ -730,9 +718,7 @@ def analyze_records(
             series=series,
             stats=robust_stats(series.values),
             flaky_score=flakiness(series.values),
-            change_points=tuple(
-                cusum_changepoints(series.values, cusum_k, cusum_h)
-            ),
+            change_points=tuple(cusum_changepoints(series.values)),
         )
     slo_statuses = [
         evaluate_slo(slos[name], all_series.get(name))
@@ -743,7 +729,7 @@ def analyze_records(
         run_ids=[r.run_id for r in group],
         analyses=analyses,
         slo_statuses=slo_statuses,
-        flaky_threshold=flaky_threshold,
+        flaky_threshold=DEFAULT_FLAKY_THRESHOLD,
         notes=notes,
     )
 
@@ -862,27 +848,30 @@ def gate(
     policy: RegressionPolicy = RegressionPolicy(),
     adaptive: bool = False,
     slos: Optional[Mapping[str, SLO]] = None,
-    flaky_threshold: float = DEFAULT_FLAKY_THRESHOLD,
-    floor_k: float = DEFAULT_FLOOR_K,
 ) -> RegressionReport:
-    """Gate ``candidate``: plain or adaptive thresholds plus SLO verdicts.
+    """The one regression gate: ``candidate`` against the median of ``baselines``.
 
-    ``baselines`` feed the median comparison exactly as in
-    :func:`~repro.obs.runs.check_regressions`; ``history`` (default: the
-    baselines) is the deeper same-fingerprint record list that adaptive
-    floors, flaky scores and SLO burn windows learn from.  With
-    ``adaptive`` the hand-tuned ``abs_floor_s`` / ``quality_rel_threshold``
-    are replaced by ``floor_k * sigma`` margins learned per span path and
-    quality key, and quality keys flakier than ``flaky_threshold`` demote
-    from FAIL to WARN.  SLO breaches (budget burned through inside the
-    declared window, candidate included) append ``slo``-kind regressions.
+    Span paths and quality keys absent from every baseline are skipped
+    (new stages are not regressions).  A span regresses when it is slower
+    than the median by more than ``policy.rel_threshold`` *and* by more
+    than its noise floor; a quality value when it moves past its margin
+    the wrong way (down for :data:`~repro.obs.runs.HIGHER_IS_BETTER`
+    keys).  Plain mode takes every floor and margin from ``policy``;
+    ``adaptive`` replaces them with the ``k * sigma`` values
+    :func:`learn_floors` learns from ``history`` (default: the
+    baselines) wherever it learned one, and demotes quality keys flakier
+    than :data:`DEFAULT_FLAKY_THRESHOLD` from FAIL to WARN.  SLO breaches
+    (budget burned through inside the window, candidate included) append
+    ``slo``-kind regressions.
     """
+    if not baselines:
+        raise ReproError("regression check needs at least one baseline run")
     past = list(history) if history is not None else list(baselines)
     span_floors: Mapping[str, float] = {}
     quality_margins: Mapping[str, float] = {}
-    flaky: Collection[str] = ()
+    flaky: List[str] = []
     if adaptive and past:
-        floors = learn_floors(past, k=floor_k)
+        floors = learn_floors(past)
         span_floors = floors.span_floor_s
         quality_margins = floors.quality_margin
         flaky = sorted(
@@ -890,20 +879,115 @@ def gate(
             for name, series in extract_series(past).items()
             if name.startswith("quality.")
             and len(series.values) >= MIN_SERIES_LEN
-            and flakiness(series.values) >= flaky_threshold
+            and flakiness(series.values) >= DEFAULT_FLAKY_THRESHOLD
         )
-    report = check_regressions(
-        candidate,
-        baselines,
-        policy,
-        span_floors=span_floors,
-        quality_margins=quality_margins,
-        flaky=flaky,
+    report = RegressionReport(
+        candidate_id=candidate.run_id,
+        baseline_ids=[b.run_id for b in baselines],
+        regressions=[],
     )
+
+    base_times = [b.span_times() for b in baselines]
+    for path, timing in candidate.span_times().items():
+        samples = [t[path].total_s for t in base_times if path in t]
+        if not samples:
+            continue
+        report.checked_spans += 1
+        base = median(samples)
+        if path in span_floors:
+            floor, floor_kind = span_floors[path], "adaptive floor"
+        else:
+            floor, floor_kind = policy.abs_floor_s, "floor"
+        failed = (
+            timing.total_s - base > floor
+            and timing.total_s > base * (1.0 + policy.rel_threshold)
+        )
+        report.comparisons.append(
+            Comparison(
+                kind="span",
+                key=path,
+                baseline=base,
+                candidate=timing.total_s,
+                margin=max(floor, base * policy.rel_threshold),
+                verdict="fail" if failed else "ok",
+            )
+        )
+        if failed:
+            report.regressions.append(
+                Regression(
+                    kind="span",
+                    key=path,
+                    baseline=base,
+                    candidate=timing.total_s,
+                    detail=(
+                        f"+{100.0 * (timing.total_s - base) / base:.1f}% over "
+                        f"baseline median, threshold "
+                        f"+{100.0 * policy.rel_threshold:.0f}% "
+                        f"and {floor_kind} {floor:g} s"
+                    ),
+                )
+            )
+
+    for key in sorted(candidate.quality):
+        cand_value = _num(candidate.quality.get(key))
+        if cand_value is None:
+            continue
+        samples = [
+            value
+            for value in (_num(b.quality.get(key)) for b in baselines)
+            if value is not None
+        ]
+        if not samples:
+            continue
+        report.checked_quality += 1
+        base = median(samples)
+        if key in quality_margins:
+            margin = quality_margins[key]
+            threshold_desc = f"adaptive margin +/-{margin:g}"
+        else:
+            margin = policy.quality_rel_threshold * abs(base)
+            threshold_desc = (
+                f"threshold +/-{100.0 * policy.quality_rel_threshold:.0f}%"
+            )
+        if key in HIGHER_IS_BETTER:
+            failed = cand_value < base - margin - 1e-12
+            direction = "dropped below"
+        else:
+            failed = cand_value > base + margin + 1e-12
+            direction = "grew past"
+        demoted = failed and key in flaky
+        verdict = "ok" if not failed else ("warn" if demoted else "fail")
+        report.comparisons.append(
+            Comparison(
+                kind="quality",
+                key=key,
+                baseline=base,
+                candidate=cand_value,
+                margin=margin,
+                verdict=verdict,
+            )
+        )
+        if failed:
+            finding = Regression(
+                kind="quality",
+                key=key,
+                baseline=base,
+                candidate=cand_value,
+                detail=(
+                    f"{direction} baseline median, {threshold_desc}"
+                    + ("; demoted to WARN (flaky metric)" if demoted else "")
+                ),
+                severity=verdict,
+            )
+            if demoted:
+                report.warnings.append(finding)
+            else:
+                report.regressions.append(finding)
+
     if adaptive:
         report.notes.append(
             f"adaptive floors learned from {len(past)} run(s) "
-            f"(k={floor_k:g} sigma)"
+            f"(k={DEFAULT_FLOOR_K:g} sigma)"
         )
         if flaky:
             report.notes.append(

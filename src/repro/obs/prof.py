@@ -21,13 +21,13 @@ Alongside the stacks the sampler keeps three cheap aggregates:
   ``phase.end`` events.
 
 Profiles cross the process boundary like span trees do: each pool
-worker in :mod:`repro.opc.parallel` records its own
-:class:`Profile`, ships it back on the tile's
-:class:`~repro.opc.tiling.TileOutcome`, and the parent folds them in
-with the deterministic :func:`merge_profiles` -- the same contract as
-:func:`~repro.obs.trace.merge_spans`.  Exports are stdlib-only:
-Brendan-Gregg collapsed-stack text plus a self-contained flame-graph
-SVG/HTML (``repro profile --flame``).
+worker in :mod:`repro.opc.parallel` records its own :class:`Profile`
+into its :class:`~repro.obs.WorkerTelemetry` envelope
+(:func:`repro.obs.record_worker`), and the parent folds them in with the
+deterministic :func:`merge_profiles` (:func:`repro.obs.absorb_workers`)
+-- the same contract as :func:`~repro.obs.trace.merge_spans`.  Exports
+are stdlib-only: Brendan-Gregg collapsed-stack text plus a
+self-contained flame-graph SVG/HTML (``repro profile --flame``).
 
 ``REPRO_PROF=0`` is the kill switch (the profiler goes fully inert);
 ``REPRO_PROF_HZ`` overrides the default sampling rate.
@@ -111,11 +111,6 @@ class Profile:
     def cpu_total_s(self) -> float:
         """CPU seconds across every top-level span (order-independent)."""
         return math.fsum(self.cpu_s.values())
-
-    @property
-    def wall_total_s(self) -> float:
-        """Sampled wall seconds across every top-level span."""
-        return math.fsum(self.wall_s.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -427,26 +422,6 @@ def active_hz() -> float:
     """Sampling rate workers should inherit (0.0 = profiling is off)."""
     profiler = _active_profiler
     return profiler.hz if profiler is not None and profiler.running else 0.0
-
-
-def absorb_worker_profiles(
-    documents: Sequence[Dict[str, Any]],
-    prefix: str = "opc.parallel",
-) -> None:
-    """Merge worker profile dicts into the active profiler, when there is one.
-
-    The parent-side half of the pool contract: workers ship
-    :func:`profile_to_dict` documents on their tile outcomes, and the
-    pool hands them (in deterministic tile order) to this hook.  With no
-    profiler active the documents are dropped -- the parent did not ask
-    for profiling, so there is nothing to fold them into.
-    """
-    profiler = _active_profiler
-    if profiler is None or not documents:
-        return
-    children = [profile_from_dict(doc) for doc in documents]
-    with profiler._lock:
-        merge_profiles(profiler.profile, children, prefix=prefix)
 
 
 def active_summary(top: int = 10) -> Optional[Dict[str, Any]]:

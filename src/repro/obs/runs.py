@@ -16,10 +16,10 @@ baseline:
   a sidecar index for cheap listing.
 * :func:`diff_runs` / :func:`diff_markdown` -- per-span-path wall-time
   deltas plus per-metric and per-quality deltas between two records.
-* :func:`check_regressions` -- compares a candidate against the median
-  of N baseline runs with configurable absolute/relative thresholds and
-  a noise floor; ``repro runs check`` exits non-zero on failure so CI
-  can gate on it.
+* :class:`RegressionPolicy` / :class:`RegressionReport` -- the
+  thresholds and the verdict of the one regression gate,
+  :func:`repro.obs.analyze.gate`; ``repro runs check`` exits non-zero on
+  failure so CI can gate on it.
 * :func:`dashboard_html` -- a self-contained HTML dashboard with
   per-stage bars for the latest run and run-history sparklines.
 
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import uuid
@@ -43,14 +44,11 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from statistics import median
 from typing import (
     Any,
-    Collection,
     Dict,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Union,
@@ -964,19 +962,28 @@ def diff_markdown(diff: RunDiff) -> str:
 
 @dataclass(frozen=True)
 class RegressionPolicy:
-    """Thresholds for :func:`check_regressions`.
+    """Fixed thresholds of :func:`repro.obs.analyze.gate`.
 
     A span regresses only when it clears *both* gates: slower than the
     baseline median by more than ``rel_threshold`` (fractional) *and* by
     more than ``abs_floor_s`` seconds -- the absolute floor is the noise
     floor that keeps microsecond spans from tripping the relative gate.
     Quality values use ``quality_rel_threshold`` (and flip direction for
-    :data:`HIGHER_IS_BETTER` keys).
+    :data:`HIGHER_IS_BETTER` keys).  Each must be finite and >= 0: a
+    negative threshold flags unchanged runs, a NaN one passes any run.
     """
 
     rel_threshold: float = 0.25
     abs_floor_s: float = 0.05
     quality_rel_threshold: float = 0.10
+
+    def __post_init__(self) -> None:
+        for name in ("rel_threshold", "abs_floor_s", "quality_rel_threshold"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # false for NaN too
+                raise ReproError(
+                    f"regression policy {name} must be a finite number >= 0, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -1088,137 +1095,6 @@ class RegressionReport:
             "warnings": [w.to_dict() for w in self.warnings],
             "notes": list(self.notes),
         }
-
-
-def check_regressions(
-    candidate: RunRecord,
-    baselines: Sequence[RunRecord],
-    policy: RegressionPolicy = RegressionPolicy(),
-    *,
-    span_floors: Optional[Mapping[str, float]] = None,
-    quality_margins: Optional[Mapping[str, float]] = None,
-    flaky: Optional[Collection[str]] = None,
-) -> RegressionReport:
-    """Gate ``candidate`` against the median of ``baselines``.
-
-    Span paths and quality keys absent from every baseline are skipped
-    (new stages are not regressions); paths absent from the candidate
-    simply stop being checked.
-
-    ``span_floors`` overrides the policy's ``abs_floor_s`` per span path
-    and ``quality_margins`` replaces the relative quality threshold with
-    an absolute +/- band per key -- this is how the adaptive gate
-    (:func:`repro.obs.analyze.gate`) injects MAD-learned noise floors.
-    Quality keys listed in ``flaky`` demote their failures to WARN.
-    """
-    if not baselines:
-        raise ReproError("regression check needs at least one baseline run")
-    report = RegressionReport(
-        candidate_id=candidate.run_id,
-        baseline_ids=[b.run_id for b in baselines],
-        regressions=[],
-    )
-
-    base_times = [b.span_times() for b in baselines]
-    for path, timing in candidate.span_times().items():
-        samples = [t[path].total_s for t in base_times if path in t]
-        if not samples:
-            continue
-        report.checked_spans += 1
-        base = median(samples)
-        floor = policy.abs_floor_s
-        floor_kind = "floor"
-        if span_floors is not None and path in span_floors:
-            floor = span_floors[path]
-            floor_kind = "adaptive floor"
-        margin = max(floor, base * policy.rel_threshold)
-        failed = (
-            timing.total_s - base > floor
-            and timing.total_s > base * (1.0 + policy.rel_threshold)
-        )
-        report.comparisons.append(
-            Comparison(
-                kind="span",
-                key=path,
-                baseline=base,
-                candidate=timing.total_s,
-                margin=margin,
-                verdict="fail" if failed else "ok",
-            )
-        )
-        if failed:
-            report.regressions.append(
-                Regression(
-                    kind="span",
-                    key=path,
-                    baseline=base,
-                    candidate=timing.total_s,
-                    detail=(
-                        f"+{100.0 * (timing.total_s - base) / base:.1f}% over "
-                        f"baseline median, threshold "
-                        f"+{100.0 * policy.rel_threshold:.0f}% "
-                        f"and {floor_kind} {floor:g} s"
-                    ),
-                )
-            )
-
-    flaky_keys = frozenset(flaky or ())
-    for key in sorted(candidate.quality):
-        cand_value = _num(candidate.quality.get(key))
-        if cand_value is None:
-            continue
-        samples = [
-            value
-            for value in (_num(b.quality.get(key)) for b in baselines)
-            if value is not None
-        ]
-        if not samples:
-            continue
-        report.checked_quality += 1
-        base = median(samples)
-        if quality_margins is not None and key in quality_margins:
-            margin = quality_margins[key]
-            threshold_desc = f"adaptive margin +/-{margin:g}"
-        else:
-            margin = policy.quality_rel_threshold * abs(base)
-            threshold_desc = (
-                f"threshold +/-{100.0 * policy.quality_rel_threshold:.0f}%"
-            )
-        if key in HIGHER_IS_BETTER:
-            failed = cand_value < base - margin - 1e-12
-            direction = "dropped below"
-        else:
-            failed = cand_value > base + margin + 1e-12
-            direction = "grew past"
-        demoted = failed and key in flaky_keys
-        verdict = "ok" if not failed else ("warn" if demoted else "fail")
-        report.comparisons.append(
-            Comparison(
-                kind="quality",
-                key=key,
-                baseline=base,
-                candidate=cand_value,
-                margin=margin,
-                verdict=verdict,
-            )
-        )
-        if failed:
-            finding = Regression(
-                kind="quality",
-                key=key,
-                baseline=base,
-                candidate=cand_value,
-                detail=(
-                    f"{direction} baseline median, {threshold_desc}"
-                    + ("; demoted to WARN (flaky metric)" if demoted else "")
-                ),
-                severity="warn" if demoted else "fail",
-            )
-            if demoted:
-                report.warnings.append(finding)
-            else:
-                report.regressions.append(finding)
-    return report
 
 
 # -- HTML dashboard -----------------------------------------------------------

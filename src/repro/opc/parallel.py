@@ -15,12 +15,13 @@ in-process serial correction or raises a :class:`TileCorrectionError`
 naming the tile rect and carrying the worker traceback (the
 ``on_failure`` knob of :class:`ParallelSpec`).
 
-Observability crosses the process boundary: each worker adds its own
-span tree and metric snapshot to the :class:`~repro.opc.tiling.TileOutcome`
-that :func:`~repro.opc.tiling.correct_tile` returned, and the parent
-merges them (``repro.obs.merge_spans`` / ``merge_snapshot``) so
-``repro profile`` shows per-tile, per-worker breakdowns with exact
-counter totals.
+Observability crosses the process boundary: each worker records its
+tile into one :class:`repro.obs.WorkerTelemetry` envelope (spans,
+metrics and profile) on the :class:`~repro.opc.tiling.TileOutcome` that
+:func:`~repro.opc.tiling.correct_tile` returned, and the parent folds
+the envelopes in with :func:`repro.obs.absorb_workers`, so ``repro
+profile`` shows per-tile, per-worker breakdowns with exact counter
+totals.
 
 Tile jobs travel to the workers by plain pickle through the pool pipe:
 a job is a few kilobytes of geometry, cheap to pickle next to the
@@ -52,8 +53,6 @@ from ..geometry import Rect
 from ..litho import LithoConfig, LithoSimulator, binary_mask
 from ..obs import count as _obs_count, span as _obs_span
 from ..obs import events as _events
-from ..obs import prof as _prof
-from ..obs.state import enabled as _obs_enabled, enabled_scope as _obs_enabled_scope
 from .model_opc import MaskBuilder, ModelOPCRecipe
 from .tiling import TileOutcome, TilePlan, TilingSpec, correct_tile, kept_rect
 
@@ -173,21 +172,14 @@ def _pool_init(config: LithoConfig, events_queue: Optional[Any] = None) -> None:
 
     Workers rebuild from the picklable :class:`LithoConfig` rather than
     receiving a pickled simulator, so engine caches (SOCS kernels) are
-    process-local and the pool works under ``spawn``.  Under ``fork`` the
-    child also inherits the parent's thread-local span stack mid-capture
-    and the parent's event-bus sinks; both are reset here so worker spans
-    root cleanly and worker events only ever travel over ``events_queue``
-    (when live telemetry is on) instead of scribbling into the parent's
-    sink files.
+    process-local and the pool works under ``spawn``.  The telemetry a
+    ``fork`` child inherited is reset by :func:`repro.obs.init_worker`,
+    so worker spans root cleanly and worker events only ever travel over
+    ``events_queue``.
     """
     global _worker_simulator
     _worker_simulator = LithoSimulator(config)
-    from ..obs import trace as _trace
-
-    obs.take_finished()
-    _trace.reset_worker_state()
-    obs.disable()
-    _events.install_worker_forwarding(events_queue)
+    obs.init_worker(events_queue)
 
 
 def _maybe_poison(index: int) -> None:
@@ -216,29 +208,9 @@ def _execute_job(job: TileJob) -> TileOutcome:
         simulator = _worker_simulator
         if simulator is None:
             raise OPCError("worker pool initializer did not run")
-        # The worker runs its own sampler at the parent's rate; the
-        # profile ships back only on success, so a retried tile never
-        # double-counts CPU across attempts.
-        profiler = (
-            _prof.SamplingProfiler(hz=job.profile_hz)
-            if job.profile_hz > 0 else None
-        )
-        if profiler is not None:
-            profiler.start()
-        try:
-            if job.observe:
-                with obs.capture() as cap:
-                    outcome = _run_tile(job, simulator)
-                outcome.spans = [obs.span_to_dict(root) for root in cap.roots]
-                outcome.metrics = obs.registry().snapshot()
-            else:
-                with _obs_enabled_scope(False):
-                    outcome = _run_tile(job, simulator)
-        finally:
-            if profiler is not None:
-                profiler.stop()
-        if profiler is not None:
-            outcome.profile = _prof.profile_to_dict(profiler.profile)
+        with obs.record_worker(job.observe, job.profile_hz) as telemetry:
+            outcome = _run_tile(job, simulator)
+        outcome.telemetry = telemetry
         return outcome
     except Exception as error:  # structured failure crosses the pickle boundary
         return TileOutcome(
@@ -287,8 +259,8 @@ def run_tile_jobs(
     :func:`~repro.opc.tiling.model_opc_tiled` does.
 
     Retries dead or failing jobs up to ``spec.max_retries`` times, then
-    applies ``spec.on_failure``.  Worker span trees and metric snapshots
-    are merged into the parent trace/registry, and the pool's own
+    applies ``spec.on_failure``.  Worker telemetry envelopes are folded
+    into the parent's trace, registry and profiler, and the pool's own
     bookkeeping lands under an ``opc.parallel`` span with
     ``opc.tile_retries`` / ``opc.tile_fallbacks`` / ``opc.tile_failures``
     counters.
@@ -302,8 +274,8 @@ def run_tile_jobs(
     """
     spec = spec.validated()
     _ensure_picklable(mask_builder, recipe)
-    observe = _obs_enabled()
-    profile_hz = _prof.active_hz()
+    observe = obs.enabled()
+    profile_hz = obs.active_hz()
     jobs = [
         TileJob(
             plan=plan,
@@ -348,41 +320,22 @@ def run_tile_jobs(
             if events_queue is not None:
                 _events.drain_queue(events_queue)
                 events_queue.close()
-        converged_tiles = 0
-        worker_profiles: List[Dict[str, Any]] = []
-        for index in sorted(outcomes):
-            outcome = outcomes[index]
-            outcome.attempts = attempts[index] + 1
-            if outcome.converged:
-                converged_tiles += 1
-            if observe and outcome.spans:
-                obs.merge_spans(
-                    pool_span,
-                    [obs.span_from_dict(doc) for doc in outcome.spans],
-                )
-            if observe and outcome.metrics:
-                obs.merge_snapshot(outcome.metrics)
-            if outcome.profile is not None:
-                worker_profiles.append(outcome.profile)
-        # Worker profiles fold into the parent's active profiler in one
-        # deterministic merge, grafted under this pool span's name --
-        # the same contract as the span merge above.  Profiles travel
-        # per tile, so the merged multiset is identical at any worker
-        # count and cpu_s totals agree exactly across n_workers.
-        _prof.absorb_worker_profiles(worker_profiles)
-        # Cross-worker convergence rollup: the per-tile opc.converged /
-        # opc.stalled counters already merged exactly through the metric
-        # snapshots above (serial-fallback tiles count in-process); the
-        # pool span carries the aggregate so one glance at the trace shows
-        # how much of the layout settled.
+        ordered = [outcomes[index] for index in sorted(outcomes)]
+        for outcome in ordered:
+            outcome.attempts = attempts[outcome.index] + 1
+        # In tile order, so the merged spans, counters and profiles are the
+        # same at any worker count; serial-fallback tiles carry no envelope.
+        obs.absorb_workers(pool_span, [outcome.telemetry for outcome in ordered])
+        # The rollup shows at a glance how much of the layout settled.
+        converged_tiles = sum(1 for outcome in ordered if outcome.converged)
         pool_span.set(
             retries=stats["retries"],
             fallbacks=stats["fallbacks"],
             failures=stats["failures"],
             tiles_converged=converged_tiles,
-            tiles_stalled=len(outcomes) - converged_tiles,
+            tiles_stalled=len(ordered) - converged_tiles,
         )
-    return [outcomes[index] for index in sorted(outcomes)]
+    return ordered
 
 
 def _run_round(
@@ -508,8 +461,8 @@ def _register_failure(
         if progress is not None:
             progress.failed(index, message, fallback=False)
         raise TileCorrectionError(message, job.plan.tile, index, worker_traceback)
-    # Serial fallback: correct the tile in-process.  Spans and metrics are
-    # recorded directly into the parent trace, so the outcome carries none.
+    # Serial fallback: correct the tile in-process.  Its telemetry is
+    # recorded directly into the parent, so the outcome carries none.
     stats["fallbacks"] += 1
     _obs_count("opc.tile_fallbacks")
     if progress is not None:

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..errors import OPCError
 from ..geometry import Rect, Region
 from ..litho import LithoSimulator
+from ..obs import WorkerTelemetry
 from ..obs import count as _obs_count, observe as _obs_observe, span as _obs_span
 from ..obs import events as _events
 from .model_opc import MaskBuilder, ModelOPCRecipe, model_opc
@@ -112,8 +113,8 @@ class TileOutcome:
 
     :func:`correct_tile` fills the result fields on every path -- the
     serial loop, a pool worker and the pool's serial fallback.  A worker
-    adds its span trees, metric snapshot and profile (or an ``error`` in
-    place of a result), and the pool stamps ``attempts``.
+    adds its ``telemetry`` envelope (or an ``error`` in place of a
+    result), and the pool stamps ``attempts``.
     """
 
     index: int
@@ -123,13 +124,9 @@ class TileOutcome:
     history: List[IterationStats] = field(default_factory=list)
     converged: bool = True
     fragment_count: int = 0
-    #: Worker span trees as :func:`repro.obs.span_to_dict` documents.
-    spans: List[Dict[str, Any]] = field(default_factory=list)
-    #: Worker metric snapshot (:meth:`MetricsRegistry.snapshot` format).
-    metrics: Optional[Dict[str, Any]] = None
-    #: Worker sampled profile (:func:`repro.obs.profile_to_dict` format),
-    #: shipped only on success so retries never double-count CPU.
-    profile: Optional[Dict[str, Any]] = None
+    #: What the worker recorded for this tile; ``None`` when the tile
+    #: ran in the parent, which records it directly.
+    telemetry: Optional[WorkerTelemetry] = None
     error: Optional["TileFailure"] = None
     #: The process that corrected the tile (the parent's on serial paths).
     worker_pid: int = 0

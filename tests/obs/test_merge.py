@@ -215,6 +215,32 @@ class TestWorkerOutcomeEdgeCases:
         assert len(pool_span.children) == 2
         assert pool_span.find("opc.iteration") is not None
 
+    def test_failed_job_ships_an_empty_envelope(self):
+        # Only a job that returns fills its envelope, so the failed
+        # attempt of a retried tile never counts twice.
+        with pytest.raises(RuntimeError):
+            with obs.record_worker(observe=True, profile_hz=50.0) as telemetry:
+                obs.count("opc.tiles")
+                with obs.span("opc.tile", tile=0):
+                    raise RuntimeError("worker died")
+        assert telemetry == obs.WorkerTelemetry()
+        assert not obs.enabled()
+
+    def test_absorb_skips_jobs_that_ran_in_the_parent(self):
+        # Serial-fallback tiles recorded straight into the parent and
+        # carry no envelope.
+        with obs.record_worker(observe=True, profile_hz=0.0) as telemetry:
+            obs.count("opc.tiles")
+            with obs.span("opc.tile", tile=0):
+                pass
+        assert telemetry.spans and telemetry.metrics and telemetry.profile is None
+        obs.reset_metrics()
+        obs.enable()
+        with obs.span("opc.parallel") as pool_span:
+            obs.absorb_workers(pool_span, [None, telemetry, None])
+        assert [child.name for child in pool_span.children] == ["opc.tile"]
+        assert obs.registry().counter("opc.tiles").value == 1
+
     def test_span_from_dict_tolerates_minimal_payload(self):
         span = span_from_dict(
             {"name": "opc.tile", "start_s": 1.0, "duration_s": 0.5}

@@ -11,6 +11,7 @@ from repro.errors import ReproError
 from repro.obs import prof
 from repro.obs import runs as obs_runs
 from repro.obs import trace as obs_trace
+from repro.obs.analyze import gate
 
 
 def busy_wait(seconds):
@@ -265,11 +266,13 @@ class TestMergeProfiles:
         assert dicts[0] == dicts[1] == dicts[2]
 
     def test_absorb_worker_profiles_requires_active(self):
-        # no active profiler: documents are dropped silently
+        # no active profiler: worker profiles are dropped silently
         doc = prof.profile_to_dict(make_profile({"t;f": 1}, cpu_s={"t": 0.5}))
-        prof.absorb_worker_profiles([doc])
+        envelopes = [obs.WorkerTelemetry(profile=doc)]
+        pool_span = obs_trace.Span("opc.parallel")
+        obs.absorb_workers(pool_span, envelopes)
         with prof.SamplingProfiler(hz=100) as profiler:
-            prof.absorb_worker_profiles([doc])
+            obs.absorb_workers(pool_span, envelopes)
         assert profiler.profile.samples.get("opc.parallel/t;f") == 1
         assert profiler.profile.cpu_s.get("opc.parallel") == 0.5
 
@@ -463,12 +466,12 @@ class TestLedger14:
         policy = obs_runs.RegressionPolicy(
             quality_rel_threshold=0.10, rel_threshold=0.10
         )
-        assert obs_runs.check_regressions(ok, [baseline], policy).ok
+        assert gate(ok, [baseline], policy=policy).ok
         slow = rec(2.0, 100 * 2 ** 20)
-        verdict = obs_runs.check_regressions(slow, [baseline], policy)
+        verdict = gate(slow, [baseline], policy=policy)
         assert not verdict.ok
         assert any("cpu_total_s" in r.key for r in verdict.regressions)
         fat = rec(1.0, 400 * 2 ** 20)
-        verdict = obs_runs.check_regressions(fat, [baseline], policy)
+        verdict = gate(fat, [baseline], policy=policy)
         assert not verdict.ok
         assert any("peak_rss_bytes" in r.key for r in verdict.regressions)

@@ -2,9 +2,10 @@
 
 Covers the acceptance surface of ``repro.obs.runs``: write -> read ->
 diff of identical runs shows zero deltas, fingerprints are stable across
-process restarts, an injected 2x slowdown trips the regression checker
-with the offending span path named, and the canonical form is
-byte-stable modulo run id / timestamp / git revision.
+process restarts, an injected 2x slowdown trips the regression gate
+(:func:`repro.obs.analyze.gate`) with the offending span path named,
+and the canonical form is byte-stable modulo run id / timestamp / git
+revision.
 """
 
 import json
@@ -21,6 +22,7 @@ from repro.geometry import Rect, Region
 from repro.litho import LithoConfig, LithoSimulator, krf_annular
 from repro.obs import metrics as obs_metrics
 from repro.obs import runs as obs_runs
+from repro.obs.analyze import gate
 from repro.obs.trace import Span
 from repro.opc import ModelOPCRecipe, TilingSpec
 
@@ -273,14 +275,14 @@ class TestHistogramDiff:
 class TestRegressionGate:
     def test_identical_runs_pass(self):
         baselines = [make_record() for _ in range(3)]
-        verdict = obs_runs.check_regressions(make_record(), baselines)
+        verdict = gate(make_record(), baselines)
         assert verdict.ok
         assert verdict.checked_spans > 0
 
     def test_injected_slowdown_fires_with_span_path_named(self):
         baselines = [make_record() for _ in range(3)]
         slow = make_record(scale=2.0)
-        verdict = obs_runs.check_regressions(slow, baselines)
+        verdict = gate(slow, baselines)
         assert not verdict.ok
         keys = {r.key for r in verdict.regressions if r.kind == "span"}
         assert "tapeout/tapeout.correct" in keys
@@ -291,16 +293,16 @@ class TestRegressionGate:
         far below the absolute floor even at a huge relative delta."""
         baselines = [make_record() for _ in range(3)]
         slow = make_record(scale=2.0)
-        verdict = obs_runs.check_regressions(
+        verdict = gate(
             slow, baselines,
-            obs_runs.RegressionPolicy(rel_threshold=0.25, abs_floor_s=0.05),
+            policy=obs_runs.RegressionPolicy(rel_threshold=0.25, abs_floor_s=0.05),
         )
         assert all(r.key != "tapeout/tapeout.orc" for r in verdict.regressions)
 
     def test_quality_growth_fires(self):
         baselines = [make_record(quality={"epe_rms_nm": 2.0})]
         worse = make_record(quality={"epe_rms_nm": 3.0})
-        verdict = obs_runs.check_regressions(worse, baselines)
+        verdict = gate(worse, baselines)
         assert any(
             r.kind == "quality" and r.key == "epe_rms_nm"
             for r in verdict.regressions
@@ -309,17 +311,26 @@ class TestRegressionGate:
     def test_higher_is_better_keys_flip_direction(self):
         baselines = [make_record(quality={"mrc_clean": 1})]
         broken = make_record(quality={"mrc_clean": 0})
-        verdict = obs_runs.check_regressions(broken, baselines)
+        verdict = gate(broken, baselines)
         assert any(r.key == "mrc_clean" for r in verdict.regressions)
         # ...and an improvement is not a regression.
         better = make_record(quality={"mrc_clean": 1})
-        assert obs_runs.check_regressions(
+        assert gate(
             better, [make_record(quality={"mrc_clean": 1})]
         ).ok
 
     def test_needs_a_baseline(self):
         with pytest.raises(ReproError):
-            obs_runs.check_regressions(make_record(), [])
+            gate(make_record(), [])
+
+    @pytest.mark.parametrize(
+        "field", ["rel_threshold", "abs_floor_s", "quality_rel_threshold"]
+    )
+    @pytest.mark.parametrize("value", [-0.5, float("nan"), float("inf")])
+    def test_policy_thresholds_are_finite_and_non_negative(self, field, value):
+        with pytest.raises(ReproError, match=field):
+            obs_runs.RegressionPolicy(**{field: value})
+        assert getattr(obs_runs.RegressionPolicy(**{field: 0.0}), field) == 0.0
 
 
 class TestDashboard:

@@ -5,12 +5,21 @@ guarantee: fanning tiles out over workers and stitching the outcomes
 back changes *nothing* about the result.  For several generated layouts
 the suite asserts the stitched geometry is byte-identical (same loops,
 same vertex order), the per-iteration EPE stats match exactly, and the
-mask figure counts agree, across worker counts.
+mask figure counts agree, across worker counts.  The telemetry the
+workers send back folds into the same counters and tile spans the
+serial loop records in-process.
 """
 
 import pytest
 
-from repro.design import BlockSpec, node_180nm, random_logic_block, sram_array
+from repro import obs
+from repro.design import (
+    BlockSpec,
+    line_space_array,
+    node_180nm,
+    random_logic_block,
+    sram_array,
+)
 from repro.layout import POLY, layout_stats
 from repro.mask import mask_data_stats
 from repro.geometry import Rect, Region
@@ -92,3 +101,34 @@ def test_empty_target_with_parallel_spec(simulator):
         Region(), simulator, parallel=ParallelSpec(n_workers=2)
     )
     assert result.corrected.is_empty
+
+
+def test_telemetry_is_the_same_at_any_worker_count(simulator):
+    """Counter totals, histogram counts and ``opc.tile`` span attributes
+    do not depend on how many workers corrected the tiles.  Kernel-cache
+    counters do: every worker process warms its own cache."""
+    target = line_space_array(180, 280, count=7, length=2400).region
+    recipe = ModelOPCRecipe(max_iterations=2)
+
+    def telemetry(n_workers):
+        with obs.capture() as cap:
+            model_opc_tiled(
+                target, simulator, target.bbox(), recipe, tiling=TILING,
+                parallel=ParallelSpec(n_workers=n_workers),
+            )
+        counts = {
+            name: record["value"] if record["kind"] == "counter" else record["count"]
+            for name, record in obs.registry().snapshot().items()
+            if record["kind"] in ("counter", "histogram")
+            and not name.startswith("sim.kernel_cache_")
+        }
+        tiles = sorted(
+            (span.attrs for root in cap.roots for span in root.find_all("opc.tile")),
+            key=lambda attrs: attrs["tile"],
+        )
+        return counts, tiles
+
+    serial = telemetry(1)
+    assert len(serial[1]) == 4 and serial[0]["opc.tiles"] == 4
+    for n_workers in (2, 4):
+        assert telemetry(n_workers) == serial, f"{n_workers} workers"

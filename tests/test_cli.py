@@ -190,6 +190,40 @@ class TestBadInput:
         assert f"error: argument {flag}: expected an integer >= {minimum}, got '{value}'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("check", "--baseline"), ("list", "-n"), ("analyze", "--limit"),
+         ("report", "--limit")],
+    )
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_runs_counts_are_range_checked(self, tmp_path, capsys, command, flag, value):
+        # Unchecked, 0 would select every run and -1 all but the oldest.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["runs", command, "--dir", str(tmp_path), flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: expected an integer >= 1, got '{value}'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            # A negative margin flags identical runs as regressions ...
+            (["--quality-rel", "-0.5"], "quality_rel_threshold"),
+            (["--rel", "-1", "--abs-floor", "-1"], "rel_threshold"),
+            # ... and a NaN one makes a gate that can never fail.
+            (["--rel", "nan", "--quality-rel", "nan"], "rel_threshold"),
+            (["--abs-floor", "inf"], "abs_floor_s"),
+        ],
+    )
+    def test_runs_check_thresholds_are_finite_and_non_negative(
+        self, tmp_path, capsys, flags, field
+    ):
+        assert main(["runs", "check", "--dir", str(tmp_path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: regression policy {field} must be a finite number >= 0")
+        assert err.count("\n") == 1
+
     def test_unwritable_output(self, stdcell_gds, tmp_path, capsys):
         output = tmp_path / "missing-dir" / "out.gds"
         assert self.correct(stdcell_gds, tmp_path, "--dose", "1.0", output=output) == 2
