@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from ..errors import ReproError
-from ..geometry import GridIndex, Region, Transform
+from ..geometry import GridIndex, Rect, Region, Transform
 from ..layout import Cell, Layer
 
 
@@ -75,6 +75,54 @@ class HierarchyImpact:
         )
 
 
+@dataclass
+class PlacementIndex:
+    """Every placement of a top cell on one layer, indexed for context queries.
+
+    ``placements[pid]`` is the ``(cell, transform)`` of placement ``pid``,
+    ``local`` one merged flat region per referenced cell, and ``own`` the
+    top cell's own shapes.  ``grid`` holds each placement's placed loops
+    under its ``pid`` and ``own``'s under -1.
+    """
+
+    placements: List[Tuple[Cell, Transform]]
+    local: Dict[str, Region]
+    own: Region
+    grid: GridIndex
+
+    def around(self, box: Rect, skip: int) -> Region:
+        """The unmerged loops of every entry whose bbox meets ``box``, except ``skip``'s."""
+        out = Region()
+        for _bbox, (key, loops) in self.grid.query(box):
+            if key != skip:
+                for loop in loops:
+                    out._add(loop)
+        return out
+
+
+def placement_index(top: Cell, layer: Layer) -> PlacementIndex:
+    """Index ``top``'s placements and own shapes on ``layer``."""
+    placements = [
+        (ref.cell, transform)
+        for ref in top.references
+        for transform in ref.placements()
+    ]
+    grid: GridIndex = GridIndex(cell_size=5000)
+    local: Dict[str, Region] = {}
+    for pid, (cell, transform) in enumerate(placements):
+        if cell.name not in local:
+            local[cell.name] = cell.flat_region(layer).merged()
+        placed = local[cell.name].transformed(transform)
+        box = placed.bbox()
+        if box is not None:
+            grid.insert(box, (pid, placed.loops))
+    own = top.region(layer)
+    box = own.bbox()
+    if box is not None:
+        grid.insert(box, (-1, own.loops))
+    return PlacementIndex(placements, local, own, grid)
+
+
 def hierarchy_impact(
     top: Cell, layer: Layer, interaction_radius_nm: int = 600
 ) -> HierarchyImpact:
@@ -87,46 +135,21 @@ def hierarchy_impact(
     """
     if interaction_radius_nm <= 0:
         raise ReproError("interaction radius must be positive")
-    placements = _expanded_placements(top)
-    if not placements:
-        return HierarchyImpact(interaction_radius_nm=interaction_radius_nm)
-
-    # Spatial index of every placement's flat geometry, plus top-level
-    # shapes, for neighbourhood queries.
-    index: GridIndex[Tuple[int, List]] = GridIndex(cell_size=5000)
-    flat_cache: Dict[str, Region] = {}
-    pieces: List[Region] = []
-    for pid, (cell, transform) in enumerate(placements):
-        local = flat_cache.get(cell.name)
-        if local is None:
-            local = cell.flat_region(layer).merged()
-            flat_cache[cell.name] = local
-        placed = local.transformed(transform)
-        pieces.append(placed)
-        box = placed.bbox()
-        if box is not None:
-            index.insert(box, (pid, placed.loops))
-    own = top.region(layer)
-    if own.num_loops:
-        box = own.bbox()
-        if box is not None:
-            index.insert(box, (-1, own.loops))
-
+    index = placement_index(top, layer)
     per_cell: Dict[str, Dict] = {}
-    for pid, (cell, transform) in enumerate(placements):
+    for pid, (cell, _transform) in enumerate(index.placements):
         entry = per_cell.setdefault(
             cell.name,
             {
                 "signatures": set(),
                 "count": 0,
-                "figures": flat_cache[cell.name].num_loops,
+                "figures": index.local[cell.name].num_loops,
             },
         )
         entry["count"] += 1
-        signature = _context_signature(
-            pid, cell, transform, flat_cache[cell.name], index, interaction_radius_nm
+        entry["signatures"].add(
+            context_signature(index, pid, interaction_radius_nm)
         )
-        entry["signatures"].add(signature)
 
     result = HierarchyImpact(interaction_radius_nm=interaction_radius_nm)
     for name, entry in sorted(per_cell.items()):
@@ -141,36 +164,15 @@ def hierarchy_impact(
     return result
 
 
-def _expanded_placements(top: Cell) -> List[Tuple[Cell, Transform]]:
-    out: List[Tuple[Cell, Transform]] = []
-    for ref in top.references:
-        for transform in ref.placements():
-            out.append((ref.cell, transform))
-    return out
-
-
-def _context_signature(
-    pid: int,
-    cell: Cell,
-    transform: Transform,
-    local_region: Region,
-    index: GridIndex,
-    radius: int,
-) -> int:
-    """Hash of the neighbourhood geometry in the placement's local frame."""
-    local_box = local_region.bbox()
+def context_signature(index: PlacementIndex, pid: int, radius: int) -> int:
+    """Hash of placement ``pid``'s neighbourhood geometry in its local frame."""
+    cell, transform = index.placements[pid]
+    local_box = index.local[cell.name].bbox()
     if local_box is None:
         return 0
     world_box = transform.apply_rect(local_box).expanded(radius)
-    neighbourhood = Region()
-    for _bbox, (other_pid, loops) in index.query(world_box):
-        if other_pid == pid:
-            continue
-        for loop in loops:
-            neighbourhood._add(loop)
-    clipped = neighbourhood & Region(world_box)
-    inverse = transform.inverse()
-    local_context = clipped.transformed(inverse).merged()
+    clipped = index.around(world_box, pid) & Region(world_box)
+    local_context = clipped.transformed(transform.inverse()).merged()
     return hash(
         tuple(sorted(tuple(sorted(lp)) for lp in local_context.loops))
     )

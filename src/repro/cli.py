@@ -727,6 +727,26 @@ def _pick_cell(library: Library, name: Optional[str]):
     return max(tops, key=lambda cell: layout_stats(cell).flat_figures)
 
 
+def _load_layer(args, path: str):
+    """Read GDS ``path``: its library, picked cell, ``--layer``/``--datatype`` and flat region.
+
+    Raises :class:`ReproError` when ``--layer`` is missing or the cell has
+    no geometry on the layer.
+    """
+    if args.layer is None:
+        raise ReproError(f"{args.command} needs --layer with a GDS file")
+    library = read_gds(path)
+    cell = _pick_cell(library, args.cell)
+    layer = Layer(args.layer, args.datatype)
+    region = cell.flat_region(layer)
+    if region.is_empty:
+        raise ReproError(
+            f"cell {cell.name!r} has no geometry on layer "
+            f"{args.layer}/{args.datatype}"
+        )
+    return library, cell, layer, region
+
+
 def _generate(args) -> int:
     rules = _NODES[args.node]()
     if args.kind == "block":
@@ -793,15 +813,7 @@ def _correct(args) -> int:
 
 
 def _run_correct(args) -> int:
-    library = read_gds(args.gds)
-    cell = _pick_cell(library, args.cell)
-    drawn = Layer(args.layer, args.datatype)
-    target = cell.flat_region(drawn)
-    if target.is_empty:
-        raise ReproError(
-            f"cell {cell.name!r} has no geometry on layer "
-            f"{args.layer}/{args.datatype}"
-        )
+    library, cell, drawn, target = _load_layer(args, args.gds)
     level = _LEVELS[args.level]
     rules = _NODES[args.node]()
     simulator = None
@@ -854,17 +866,7 @@ def _check(args) -> int:
     cell = None
     artifact = None
     if args.gds:
-        if args.layer is None:
-            raise ReproError("check needs --layer with a GDS file")
-        library = read_gds(args.gds)
-        cell = _pick_cell(library, args.cell)
-        drawn = Layer(args.layer, args.datatype)
-        target = cell.flat_region(drawn)
-        if target.is_empty:
-            raise ReproError(
-                f"cell {cell.name!r} has no geometry on layer "
-                f"{args.layer}/{args.datatype}"
-            )
+        _library, cell, _drawn, target = _load_layer(args, args.gds)
         artifact = args.gds
     else:
         target = _quickstart_pattern(rules)
@@ -881,7 +883,6 @@ def _check(args) -> int:
         cell=cell,
         raw_loops=target.loops,
         mask_grid_nm=args.grid_nm,
-        artifact=artifact,
     )
     report = lint.run_lint(context)
     if args.format == "json":
@@ -918,16 +919,7 @@ def _mrc(args) -> int:
 
     dropped = 0
     if os.path.exists(args.target):
-        if args.layer is None:
-            raise ReproError("mrc needs --layer with a GDS file")
-        library = read_gds(args.target)
-        cell = _pick_cell(library, args.cell)
-        mask = cell.flat_region(Layer(args.layer, args.datatype))
-        if mask.is_empty:
-            raise ReproError(
-                f"cell {cell.name!r} has no geometry on layer "
-                f"{args.layer}/{args.datatype}"
-            )
+        _library, cell, _layer, mask = _load_layer(args, args.target)
         rules = MRCRules(
             min_width_nm=args.min_width,
             min_space_nm=args.min_space,
@@ -936,10 +928,8 @@ def _mrc(args) -> int:
             notch_nm=args.notch,
             corner_nm=args.corner,
         )
-        post = lint.postflight_mask(
-            mask, rules, cell=cell, artifact=args.target
-        )
-        report, mrc, artifact = post.report, post.mrc, args.target
+        mrc = lint.postflight_mask(mask, rules, cell=cell)
+        report, artifact = lint.mrc_lint_report(mrc), args.target
     else:
         ledger = obs_runs.ledger(args.runs_dir)
         record = ledger.load_entry(ledger.resolve(args.target))
@@ -1020,17 +1010,7 @@ def _profile(args) -> int:
     rules = _NODES[args.node]()
     simulator = LithoSimulator(_litho_config())
     if args.gds:
-        if args.layer is None:
-            raise ReproError("profile needs --layer with a GDS file")
-        library = read_gds(args.gds)
-        cell = _pick_cell(library, args.cell)
-        drawn = Layer(args.layer, args.datatype)
-        target = cell.flat_region(drawn)
-        if target.is_empty:
-            raise ReproError(
-                f"cell {cell.name!r} has no geometry on layer "
-                f"{args.layer}/{args.datatype}"
-            )
+        _library, cell, drawn, target = _load_layer(args, args.gds)
         name = f"{cell.name} layer {drawn}"
     else:
         target = _quickstart_pattern(rules)
@@ -1547,15 +1527,7 @@ def _inspect(args) -> int:
 def _report(args) -> int:
     from .flow import flow_report_markdown
 
-    library = read_gds(args.gds)
-    cell = _pick_cell(library, args.cell)
-    drawn = Layer(args.layer, args.datatype)
-    target = cell.flat_region(drawn)
-    if target.is_empty:
-        raise ReproError(
-            f"cell {cell.name!r} has no geometry on layer "
-            f"{args.layer}/{args.datatype}"
-        )
+    _library, cell, drawn, target = _load_layer(args, args.gds)
     try:
         levels = [_LEVELS[name.strip()] for name in args.levels.split(",")]
     except KeyError as bad:

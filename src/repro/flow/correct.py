@@ -16,11 +16,10 @@ from typing import Optional
 from ..errors import ReproError
 from ..geometry import Rect, Region, smooth_jogs
 from ..layout import Cell, Layer
-from ..lint import PostflightResult, gate_postflight, postflight_mask
-from ..lint import postflight_sweep, preflight_correction
+from ..lint import gate_postflight, postflight_sweep, preflight_correction
 from ..litho import BinaryMaskBuilder, LithoSimulator, MaskSpec, binary_mask
 from ..mask import MaskDataStats, mask_data_stats
-from ..verify.mrc import MaskRepair, MRCReport, MRCRules, repair_mask_region
+from ..verify.mrc import MaskRepair, MRCReport, MRCRules, check_mask_region, repair_mask_region
 from ..obs import (
     current_span as _obs_current_span,
     gauge_set as _obs_gauge_set,
@@ -265,12 +264,12 @@ def correct_region(
             "correct.postflight", skipped=not postflight
         ) as postflight_span:
             if postflight:
-                post = _postflight(result, mrc, postflight_span)
-                result.mrc_report = post.mrc
-                _obs_gauge_set("mask.shot_count", post.mrc.shot_count)
-                _obs_gauge_set("mask.figure_count", post.mrc.figure_count)
-                _obs_gauge_set("mask.vertex_count", post.mrc.vertex_count)
-                gate_postflight(post, stage="correct")
+                verdict = _postflight(result, mrc, postflight_span)
+                result.mrc_report = verdict
+                _obs_gauge_set("mask.shot_count", verdict.shot_count)
+                _obs_gauge_set("mask.figure_count", verdict.figure_count)
+                _obs_gauge_set("mask.vertex_count", verdict.vertex_count)
+                gate_postflight(verdict, stage="correct")
     result.runtime_s = correct_span.duration_s
     # Standalone instrumented runs (not nested under a tapeout span) land
     # in the persistent run ledger when $REPRO_RUNS_DIR is set.
@@ -308,23 +307,24 @@ def correct_region(
 
 def _postflight(
     correction: FlowResult, rules: Optional[MRCRules], span, cell: Optional[Cell] = None
-) -> PostflightResult:
+) -> MRCReport:
     """The postflight verdict of a finished correction, set on ``span`` but not gated.
 
-    Without SRAFs the repair's last sweep is the check; SRAFs join the
-    shipped mask, which then gets one sweep of its own.
+    The check is the repair's last sweep, or one sweep of the shipped
+    mask when SRAFs join it; either way it is priced from
+    ``correction.data``, the statistics of that mask.
     """
-    if correction.srafs.is_empty:
-        post = postflight_sweep(correction.repair.report, correction.data, cell)
-    else:
-        post = postflight_mask(correction.mask_region, rules, cell=cell)
+    sweep = correction.repair.report
+    if not correction.srafs.is_empty:
+        sweep = check_mask_region(correction.mask_region, rules, with_stats=False)
+    verdict = postflight_sweep(sweep, correction.data, cell)
     span.set(
-        errors=post.report.error_count,
-        warnings=post.report.warning_count,
-        violations=len(post.mrc.violations),
-        shots=post.mrc.shot_count,
+        errors=verdict.error_count,
+        warnings=verdict.warning_count,
+        violations=len(verdict.violations),
+        shots=verdict.shot_count,
     )
-    return post
+    return verdict
 
 
 def correct_cell_layer(

@@ -211,11 +211,10 @@ def tapeout_region(
             "tapeout.postflight", skipped=not postflight
         ) as postflight_span:
             if postflight:
-                post = _postflight(
+                mrc_report = _postflight(
                     correction, recipe.mrc, postflight_span, source_cell
                 )
-                mrc_report = post.mrc
-                gate_postflight(post, stage="tapeout")
+                gate_postflight(mrc_report, stage="tapeout")
 
         orc_report: Optional[ORCReport] = None
         with _obs_span("tapeout.orc", skipped=not verify) as orc_span:

@@ -14,10 +14,13 @@ Entry points:
   fail-fast gates the flows call (raise
   :class:`~repro.errors.PreflightError` on error-severity findings);
 * :func:`postflight_mask` / :func:`gate_postflight` -- the symmetric
-  output gate on corrected masks (raise
-  :class:`~repro.errors.PostflightError` before anything is exported);
-  :func:`postflight_sweep` renders the same verdict from the MRC
-  repair's last sweep when that repaired mask is what ships;
+  output gate on corrected masks.  The verdict is one
+  :class:`~repro.verify.mrc.MRCReport`; the gate counts its blocking
+  defects and raises :class:`~repro.errors.PostflightError` before
+  anything is exported.  :func:`postflight_sweep` gives the same
+  verdict from the MRC repair's last sweep when that repaired mask is
+  what ships, and :func:`mrc_lint_report` renders a verdict as
+  diagnostics;
 * ``repro check`` / ``repro mrc`` -- the CLI front ends.
 """
 
@@ -32,7 +35,7 @@ from . import rules_pipeline  # noqa: E402,F401
 from . import rules_mask  # noqa: E402,F401
 
 from .preflight import gate, preflight_correction, preflight_tapeout
-from .postflight import PostflightResult, gate_postflight, postflight_mask, postflight_sweep
+from .postflight import gate_postflight, postflight_mask, postflight_sweep
 from .rules_mask import MRC_CODES, mrc_lint_report
 
 __all__ = [
@@ -41,7 +44,6 @@ __all__ = [
     "LintReport",
     "LintRule",
     "MRC_CODES",
-    "PostflightResult",
     "Severity",
     "gate",
     "gate_postflight",

@@ -77,8 +77,6 @@ class LintContext:
     pitch_restrictions: Tuple[PitchRestriction, ...] = ()
     #: Enables the phase-conflict rule for alternating-PSM flows.
     psm_recipe: Optional[PSMRecipe] = None
-    #: Source file of the layout (GDS path) for SARIF artifact URIs.
-    artifact: Optional[str] = None
     _merged: Optional[Region] = field(default=None, repr=False, compare=False)
 
     @classmethod

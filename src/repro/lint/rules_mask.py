@@ -2,10 +2,12 @@
 
 The preflight rules (LNT0xx-LNT4xx) ask whether a job *should* run; the
 MRC family asks whether the mask that came out of it can be *written*.
-Each rule wraps one class of findings from the edge-based engine in
-:mod:`repro.verify.mrc` so the text/JSON/SARIF emitters, the severity
-model, and the rules catalog are reused verbatim -- a SARIF viewer sees
-``MRC102`` next to ``LNT201`` with no special casing.
+The verdict is the edge-based engine's :class:`~repro.verify.mrc.MRCReport`;
+one per-rule renderer turns its markers into lint diagnostics, for
+:func:`mrc_lint_report` and for each registered rule alike, so the
+text/JSON/SARIF emitters, the severity model, and the rules catalog are
+reused verbatim -- a SARIF viewer sees ``MRC102`` next to ``LNT201``
+with no special casing.
 
 Rules require ``ctx.mask`` (corrected mask-side geometry); ``ctx.mrc``
 supplies the limits (library defaults otherwise).  The engine runs once
@@ -14,7 +16,7 @@ per context and is cached, exactly like ``ctx.merged_layout()``.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
 from ..verify.mrc import (
     MRC_RULE_CATALOG,
@@ -47,11 +49,11 @@ _HINTS = {
 
 
 def mask_report(ctx: LintContext) -> MRCReport:
-    """The engine report for ``ctx.mask`` (one run per context, cached)."""
+    """The engine sweep of ``ctx.mask`` (one run per context, cached)."""
     cached = getattr(ctx, "_mrc_report", None)
     if cached is None:
         cached = check_mask_region(
-            ctx.mask, ctx.mrc or MRCRules(), cell=ctx.cell
+            ctx.mask, ctx.mrc or MRCRules(), cell=ctx.cell, with_stats=False
         )
         ctx._mrc_report = cached
     return cached
@@ -69,36 +71,37 @@ def violation_diagnostic(violation: MRCViolation) -> Diagnostic:
     )
 
 
-def mrc_lint_report(
-    report: MRCReport, max_locations: Optional[int] = MAX_LOCATIONS
-) -> LintReport:
-    """An engine report rendered through the lint diagnostics model.
+def _rule_diagnostics(
+    report: MRCReport, code: str, max_locations: Optional[int] = MAX_LOCATIONS
+) -> Iterator[Diagnostic]:
+    """Rule ``code``'s markers of ``report`` as lint diagnostics.
 
-    Per-rule findings beyond ``max_locations`` collapse into one summary
+    Markers beyond ``max_locations`` collapse into one summary
     diagnostic (same overflow idiom as the layout rules); pass ``None``
     to keep every marker.
     """
-    diagnostics: List[Diagnostic] = []
-    for code in MRC_CODES:
-        found = [v for v in report.violations if v.rule_id == code]
-        if not found:
-            continue
-        cap = len(found) if max_locations is None else max_locations
-        diagnostics.extend(violation_diagnostic(v) for v in found[:cap])
-        overflow = len(found) - cap
-        if overflow > 0:
-            kind, severity, _desc = MRC_RULE_CATALOG[code]
-            diagnostics.append(
-                Diagnostic(
-                    code=code,
-                    severity=_SEVERITIES[severity],
-                    message=(
-                        f"... and {overflow} more {kind} violation(s)"
-                    ),
-                    hint=_HINTS.get(code),
-                )
-            )
-    return LintReport(diagnostics)
+    found = [v for v in report.violations if v.rule_id == code]
+    cap = len(found) if max_locations is None else max_locations
+    for violation in found[:cap]:
+        yield violation_diagnostic(violation)
+    overflow = len(found) - cap
+    if overflow > 0:
+        kind, severity, _desc = MRC_RULE_CATALOG[code]
+        yield Diagnostic(
+            code=code,
+            severity=_SEVERITIES[severity],
+            message=f"... and {overflow} more {kind} violation(s)",
+            hint=_HINTS.get(code),
+        )
+
+
+def mrc_lint_report(
+    report: MRCReport, max_locations: Optional[int] = MAX_LOCATIONS
+) -> LintReport:
+    """An engine report rendered through the lint diagnostics model, rule by rule."""
+    return LintReport(
+        [d for code in MRC_CODES for d in _rule_diagnostics(report, code, max_locations)]
+    )
 
 
 def _register(code: str) -> None:
@@ -106,19 +109,7 @@ def _register(code: str) -> None:
 
     @rule(code, kind, description, requires=("mask",))
     def check(ctx: LintContext, _code: str = code) -> Iterator[Diagnostic]:
-        report = mask_report(ctx)
-        found = [v for v in report.violations if v.rule_id == _code]
-        for violation in found[:MAX_LOCATIONS]:
-            yield violation_diagnostic(violation)
-        overflow = len(found) - MAX_LOCATIONS
-        if overflow > 0:
-            vkind, severity, _desc = MRC_RULE_CATALOG[_code]
-            yield Diagnostic(
-                code=_code,
-                severity=_SEVERITIES[severity],
-                message=f"... and {overflow} more {vkind} violation(s)",
-                hint=_HINTS.get(_code),
-            )
+        return _rule_diagnostics(mask_report(ctx), _code)
 
 
 for _code in MRC_CODES:

@@ -487,6 +487,26 @@ def _parse_minimal_toml(text: str) -> Dict[str, Any]:
     return root
 
 
+def _parse_slo_tables(text: str) -> Dict[str, Any]:
+    """The ``[tool.repro.slo...]`` tables of a pyproject.toml, by the subset parser.
+
+    The rest of a pyproject (multi-line arrays, inline tables) is beyond
+    :func:`_parse_minimal_toml`, so every line outside those tables is
+    blanked first; blank lines keep its error line numbers right.  Any
+    line opening with ``[`` counts as a header here, so an SLO header the
+    subset parser cannot read (one with a trailing comment, say) is kept
+    and raises there instead of dropping its table.
+    """
+    kept: List[str] = []
+    keep = False
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line.startswith("["):
+            keep = _split_dotted(line[1:-1])[:3] == ["tool", "repro", "slo"]
+        kept.append(raw if keep else "")
+    return _parse_minimal_toml("\n".join(kept))
+
+
 def _split_dotted(header: str) -> List[str]:
     parts: List[str] = []
     buf: List[str] = []
@@ -540,12 +560,15 @@ def _load_toml(path: Path) -> Dict[str, Any]:
 
     Invalid UTF-8 and TOML syntax errors (from :mod:`tomllib`, or from the
     subset parser before Python 3.11) become one error naming the file.
+    The subset parser reads only the SLO tables of a ``pyproject.toml``.
     """
     malformed: Type[Exception]
     try:
         import tomllib
     except ModuleNotFoundError:  # Python < 3.11
         parse, malformed = _parse_minimal_toml, ReproError
+        if path.name == "pyproject.toml":
+            parse = _parse_slo_tables
     else:
         parse, malformed = tomllib.loads, tomllib.TOMLDecodeError
     try:
@@ -913,6 +936,9 @@ def gate(
             )
         )
         if failed:
+            growth = timing.total_s - base
+            # A 0 s median has no relative growth: report seconds instead.
+            over = f"+{100.0 * growth / base:.1f}%" if base > 0 else f"+{growth:g} s"
             report.regressions.append(
                 Regression(
                     kind="span",
@@ -920,8 +946,7 @@ def gate(
                     baseline=base,
                     candidate=timing.total_s,
                     detail=(
-                        f"+{100.0 * (timing.total_s - base) / base:.1f}% over "
-                        f"baseline median, threshold "
+                        f"{over} over baseline median, threshold "
                         f"+{100.0 * policy.rel_threshold:.0f}% "
                         f"and {floor_kind} {floor:g} s"
                     ),

@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from ..analysis.hierarchy import _context_signature, _expanded_placements
+from ..analysis.hierarchy import context_signature, placement_index
 from ..errors import OPCError
-from ..geometry import GridIndex, Region
+from ..geometry import Region
 from ..layout import Cell, Layer
 from ..litho import LithoSimulator
 from ..obs import count as _obs_count, span as _obs_span
@@ -68,41 +68,18 @@ def hierarchical_model_opc(
     with _obs_span(
         "opc.hierarchical", cell=top.name, layer=str(layer)
     ) as hier_span:
-        placements = _expanded_placements(top)
-
-        # Index every placement's flat geometry for context queries, exactly
-        # as the hierarchy-impact analysis does.
-        index: GridIndex = GridIndex(cell_size=5000)
-        local_cache: Dict[str, Region] = {}
-        placed_regions: List[Region] = []
-        for pid, (cell, transform) in enumerate(placements):
-            local = local_cache.get(cell.name)
-            if local is None:
-                _obs_count("hier.cell_cache_misses")
-                local = cell.flat_region(layer).merged()
-                local_cache[cell.name] = local
-            else:
-                _obs_count("hier.cell_cache_hits")
-            placed = local.transformed(transform)
-            placed_regions.append(placed)
-            box = placed.bbox()
-            if box is not None:
-                index.insert(box, (pid, placed.loops))
-        own = top.region(layer)
-        if own.num_loops:
-            box = own.bbox()
-            if box is not None:
-                index.insert(box, (-1, own.loops))
+        index = placement_index(top, layer)
+        placements = index.placements
+        # One flat region per referenced cell, reused by its other placements.
+        _obs_count("hier.cell_cache_misses", len(index.local))
+        _obs_count("hier.cell_cache_hits", len(placements) - len(index.local))
 
         # Group placements by (cell, context signature).
         groups: Dict[Tuple[str, int], List[int]] = {}
-        for pid, (cell, transform) in enumerate(placements):
-            local = local_cache[cell.name]
-            if local.is_empty:
+        for pid, (cell, _transform) in enumerate(placements):
+            if index.local[cell.name].is_empty:
                 continue
-            signature = _context_signature(
-                pid, cell, transform, local, index, interaction_radius_nm
-            )
+            signature = context_signature(index, pid, interaction_radius_nm)
             groups.setdefault((cell.name, signature), []).append(pid)
 
         # Correct one representative per group, in its local frame with its
@@ -118,19 +95,13 @@ def hierarchical_model_opc(
             _obs_count("hier.context_hits", len(members) - 1)
             rep = members[0]
             cell, transform = placements[rep]
-            local = local_cache[cell_name]
+            local = index.local[cell_name]
             local_box = local.bbox()
             context_box = transform.apply_rect(local_box).expanded(
                 interaction_radius_nm + ambit
             )
-            context = Region()
-            for _bbox, (other_pid, loops) in index.query(context_box):
-                if other_pid == rep:
-                    continue
-                for loop in loops:
-                    context._add(loop)
-            context = (context & Region(context_box)).merged()
-            world_target = placed_regions[rep] | context
+            context = (index.around(context_box, rep) & Region(context_box)).merged()
+            world_target = local.transformed(transform) | context
             window = transform.apply_rect(local_box)
             with _obs_span(
                 "opc.variant", cell=cell_name, placements=len(members)
@@ -154,16 +125,12 @@ def hierarchical_model_opc(
 
         # Top-level loose shapes are corrected flat against their
         # surroundings.
+        own = index.own
         if own.num_loops:
             own_box = own.bbox()
-            context = Region()
-            for _bbox, (other_pid, loops) in index.query(
-                own_box.expanded(interaction_radius_nm + ambit)
-            ):
-                if other_pid == -1:
-                    continue
-                for loop in loops:
-                    context._add(loop)
+            context = index.around(
+                own_box.expanded(interaction_radius_nm + ambit), -1
+            )
             with _obs_span("opc.variant", cell=top.name, placements=1):
                 result = model_opc(
                     (own | context).merged(), simulator, own_box, recipe,

@@ -7,6 +7,8 @@ never leaves ``correct_region`` / ``tapeout_region`` -- it dies as a
 caller explicitly ships it with ``postflight=False``.
 """
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,9 +24,17 @@ from repro.flow import (
 )
 from repro.geometry import Rect, Region, Transform
 from repro.layout import Layer, Library
-from repro.lint import gate_postflight, postflight_mask, postflight_sweep
+from repro.lint import (
+    MRC_CODES,
+    LintContext,
+    gate_postflight,
+    mrc_lint_report,
+    postflight_mask,
+    postflight_sweep,
+    run_lint,
+)
 from repro.litho import LithoConfig, LithoSimulator, krf_annular
-from repro.mask import mask_data_stats
+from repro.mask import datavolume, mask_data_stats
 from repro.obs import runs as obs_runs
 from repro.opc import ModelOPCRecipe, RuleOPCRecipe, TilingSpec
 from repro.verify.mrc import MRCRules, check_mask_region
@@ -49,6 +59,11 @@ def dirty_target():
     return Region.from_rects(
         [Rect(0, 0, 30, 200), Rect(200, 0, 430, 200), Rect(460, 0, 690, 200)]
     )
+
+
+def bars_target():
+    """25 bars 30 nm wide: 25 MRC101 markers, past the 20-location cap."""
+    return Region.from_rects([Rect(200 * i, 0, 200 * i + 30, 400) for i in range(25)])
 
 
 def span_names(roots):
@@ -84,9 +99,9 @@ def find_span(roots, name):
 class TestGatePrimitives:
     def test_clean_mask_passes_with_full_report(self):
         result = postflight_mask(clean_target())
-        assert result.ok
-        assert result.mrc.is_clean
-        assert result.mrc.shot_count > 0
+        assert not result.has_errors
+        assert result.is_clean
+        assert result.shot_count > 0
         assert gate_postflight(result) is result
 
     def test_dirty_mask_raises_with_localized_diagnostics(self):
@@ -99,10 +114,12 @@ class TestGatePrimitives:
 
 
 class TestReusedSweep:
-    """A sweep already made of the shipped mask, rendered by
-    postflight_sweep, is the verdict postflight_mask gives, field for
-    field: lint diagnostics (overflow summaries included), markers
-    attributed to their cells, fracture estimate and ledger summary."""
+    """The postflight verdict is the engine's: postflight_mask equals
+    check_mask_region with the fracture estimate, a sweep already made
+    of the shipped mask priced by postflight_sweep equals both (markers
+    attributed to their cells, ledger summary included), and
+    mrc_lint_report renders it as the registered MRC rules do through
+    the lint engine (overflow summaries included)."""
 
     LAYER = Layer(3, 0)
 
@@ -119,12 +136,15 @@ class TestReusedSweep:
     def assert_equal_verdicts(self, top, rules):
         mask = top.flat_region(self.LAYER)
         direct = postflight_mask(mask, rules, cell=top)
+        assert direct == check_mask_region(mask, rules, cell=top)
         sweep = check_mask_region(mask, rules, with_stats=False)
         reused = postflight_sweep(sweep, mask_data_stats(mask), cell=top)
-        assert reused.mrc == direct.mrc
-        assert reused.mrc.summary_dict() == direct.mrc.summary_dict()
-        assert reused.report.diagnostics == direct.report.diagnostics
-        assert reused.ok == direct.ok
+        assert reused == direct
+        assert reused.summary_dict() == direct.summary_dict()
+        engine = run_lint(
+            LintContext(mask=mask, mrc=rules, cell=top), codes=MRC_CODES
+        )
+        assert mrc_lint_report(direct).diagnostics == engine.diagnostics
         return direct
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -148,8 +168,11 @@ class TestReusedSweep:
     def test_equals_postflight_mask_past_the_location_cap(self):
         slivers = [Rect(60 * i, 0, 60 * i + 20, 100) for i in range(15)]
         direct = self.assert_equal_verdicts(self.placed(slivers), MRCRules(40, 40))
-        assert any("more min-width" in d.message for d in direct.report.diagnostics)
-        assert {v.cell for v in direct.mrc.violations} == {"CHILD"}
+        assert direct.error_count == 30
+        messages = [d.message for d in mrc_lint_report(direct).diagnostics]
+        assert len(messages) == 21
+        assert messages[-1] == "... and 10 more min-width violation(s)"
+        assert {v.cell for v in direct.violations} == {"CHILD"}
 
     def test_correct_region_ships_the_verdict_postflight_mask_gives(self):
         rules = MRCRules(40, 40)
@@ -157,7 +180,8 @@ class TestReusedSweep:
             dirty_target(), CorrectionLevel.RULE,
             rule_recipe=RuleOPCRecipe(hammerhead_extra_nm=30), mrc=rules,
         )
-        assert result.mrc_report == postflight_mask(result.corrected, rules).mrc
+        assert result.mrc_report == postflight_mask(result.corrected, rules)
+        assert result.mrc_report == check_mask_region(result.corrected, rules)
 
 
 class TestCorrectRegionGate:
@@ -193,6 +217,42 @@ class TestCorrectRegionGate:
         assert span.attrs["violations"] == 0
         assert span.attrs["shots"] == result.mrc_report.shot_count
 
+    def test_counts_past_the_location_cap_come_from_the_verdict(self):
+        with obs.capture() as cap, pytest.raises(PostflightError) as err:
+            correct_region(bars_target(), CorrectionLevel.NONE, preflight=False)
+        assert "found 25 blocking mask defect(s)" in str(err.value)
+        assert str(err.value).endswith("; and 22 more")
+        # The error carries the capped rendering: 20 markers plus a summary.
+        assert len(err.value.diagnostics) == 21
+        span = find_span(cap.roots, "correct.postflight")
+        assert span.attrs["errors"] == 25
+        assert span.attrs["violations"] == 25
+        assert span.attrs["warnings"] == 0
+
+    def test_sraf_mask_is_priced_once(self, simulator, monkeypatch):
+        calls = []
+        priced = datavolume.mask_data_stats
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return priced(*args, **kwargs)
+
+        # Every module that bound the function by name, as a tracer would.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(module, "mask_data_stats", None) is priced:
+                monkeypatch.setattr(module, "mask_data_stats", counting)
+        target = Region.from_rects(
+            [Rect(x, -400, x + 180, 400) for x in (0, 460, 920)]
+        )
+        result = correct_region(
+            target, CorrectionLevel.MODEL_SRAF, simulator=simulator,
+            model_recipe=ModelOPCRecipe(max_iterations=1), preflight=False,
+        )
+        assert not result.srafs.is_empty
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert result.mrc_report == check_mask_region(result.mask_region)
+
     def test_custom_limits_reach_the_gate(self):
         # 180nm bars are fine at the default 40nm but not at 200nm.
         with pytest.raises(PostflightError):
@@ -224,7 +284,10 @@ class TestTapeoutGate:
         assert result.mrc_report is not None
         assert result.mrc_report == postflight_mask(
             result.mask_geometry, recipe.mrc
-        ).mrc
+        )
+        assert result.mrc_report == check_mask_region(
+            result.mask_geometry, recipe.mrc
+        )
         assert result.mrc_clean
         record = obs_runs.RunLedger(tmp_path).load_entry(
             obs_runs.RunLedger(tmp_path).entries()[0]

@@ -13,6 +13,7 @@ import math
 import random
 import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -307,6 +308,66 @@ class TestSLO:
         (tmp_path / "repro-slo.toml").write_bytes(bad["syntax.toml"])
         with pytest.raises(ReproError, match="^repro-slo.toml: "):
             analyze.load_slos()
+
+    REPO_PYPROJECT = Path(__file__).resolve().parents[2] / "pyproject.toml"
+
+    PYPROJECT = (
+        "[project]\n"
+        'name = "x"\n'
+        "dependencies = [\n"
+        '    "numpy>=1.24",\n'
+        '    "scipy>=1.10",\n'
+        "]\n"
+        '[tool.setuptools.package-data]\n'
+        'repro = ["py.typed"]\n'
+        '[tool.repro.slo."run.wall_s"]\n'
+        "objective = {objective}\n"
+        "window = 5\n"
+        "budget = 0.2\n"
+        "[tool.ruff]\n"
+        'select = ["E4", "F"]\n'
+    )
+
+    @pytest.mark.parametrize("subset_parser", [False, True])
+    def test_this_repos_pyproject_declares_no_slos(self, monkeypatch, subset_parser):
+        if subset_parser:  # as on Python < 3.11, where tomllib is missing
+            monkeypatch.setitem(sys.modules, "tomllib", None)
+        assert analyze.load_slos(self.REPO_PYPROJECT) == {}
+
+    @pytest.mark.parametrize("subset_parser", [False, True])
+    def test_pyproject_slo_tables_beside_arrays(self, tmp_path, monkeypatch, subset_parser):
+        if subset_parser:
+            monkeypatch.setitem(sys.modules, "tomllib", None)
+        path = tmp_path / "pyproject.toml"
+        path.write_text(self.PYPROJECT.format(objective="30.0"))
+        assert analyze.load_slos(path) == {
+            "run.wall_s": analyze.SLO(
+                metric="run.wall_s", objective=30.0, direction="below",
+                window=5, budget=0.2,
+            )
+        }
+
+    @pytest.mark.parametrize("subset_parser", [False, True])
+    def test_bad_value_in_a_pyproject_slo_table_is_named(
+        self, tmp_path, monkeypatch, subset_parser
+    ):
+        if subset_parser:
+            monkeypatch.setitem(sys.modules, "tomllib", None)
+        path = tmp_path / "pyproject.toml"
+        path.write_text(self.PYPROJECT.format(objective="3O.0"))
+        with pytest.raises(ReproError, match="^" + re.escape(f"{path}: ")):
+            analyze.load_slos(path)
+
+    def test_subset_parser_never_drops_a_pyproject_slo_table(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(sys.modules, "tomllib", None)
+        path = tmp_path / "pyproject.toml"
+        path.write_text(
+            '[project]\nname = "x"\n'
+            '[tool.repro.slo."run.wall_s"]  # nightly budget\n'
+            "objective = 30.0\n"
+        )
+        with pytest.raises(ReproError, match="^" + re.escape(f"{path}: ")):
+            analyze.load_slos(path)
 
 
 class TestAnalyzeRecords:

@@ -56,6 +56,15 @@ def make_record(scale=1.0, quality=None, config=CONFIG, label="tapeout",
     )
 
 
+def timed_record(seconds):
+    """A record whose only span is a ``tapeout`` root of ``seconds``."""
+    root = Span("tapeout")
+    root.start_s, root.end_s = 0.0, seconds
+    return obs_runs.new_record(
+        "tapeout", CONFIG, [root], metrics={}, quality={}, git_rev=None
+    )
+
+
 def hist_snapshot(name, values, bounds=(0.1, 0.5, 1.0)):
     """A one-histogram metrics snapshot built through the real registry."""
     registry = obs_metrics.MetricsRegistry()
@@ -322,6 +331,18 @@ class TestRegressionGate:
     def test_needs_a_baseline(self):
         with pytest.raises(ReproError):
             gate(make_record(), [])
+
+    def test_zero_baseline_median_fails_without_dividing(self):
+        verdict = gate(
+            timed_record(0.002), [timed_record(0.0)],
+            policy=obs_runs.RegressionPolicy(abs_floor_s=0.0),
+        )
+        assert not verdict.ok
+        (regression,) = verdict.regressions
+        assert (regression.key, regression.baseline) == ("tapeout", 0.0)
+        assert regression.detail == (
+            "+0.002 s over baseline median, threshold +25% and floor 0 s"
+        )
 
     @pytest.mark.parametrize(
         "field", ["rel_threshold", "abs_floor_s", "quality_rel_threshold"]

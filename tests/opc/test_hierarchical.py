@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro import obs
+from repro.analysis import hierarchy_impact
+from repro.design import node_180nm, sram_array
 from repro.errors import OPCError
 from repro.geometry import Rect
 from repro.layout import Cell, POLY
 from repro.litho import binary_mask
-from repro.opc import hierarchical_model_opc
+from repro.opc import ModelOPCRecipe, hierarchical_model_opc
 from repro.verify import measure_epe
 
 
@@ -98,3 +101,25 @@ class TestHierarchicalOPC:
         result = hierarchical_model_opc(top, POLY, simulator, dose=anchor_dose)
         assert result.placements == 0
         assert not result.corrected.is_empty
+    def test_variants_are_the_analysis_contexts(self, simulator):
+        """Hierarchical OPC corrects one variant per context the
+        hierarchy-impact analysis counts, from the same placement index."""
+        library = sram_array(node_180nm(), cols=4, rows=4)
+        top = library.top_cells()[0]
+        impact = hierarchy_impact(top, POLY, interaction_radius_nm=600)
+        with obs.capture():
+            result = hierarchical_model_opc(
+                top, POLY, simulator, interaction_radius_nm=600,
+                recipe=ModelOPCRecipe(max_iterations=1),
+            )
+            counts = obs.registry().snapshot()
+        contexts = {
+            stats.cell_name: stats.unique_contexts
+            for stats in impact.per_cell
+            if stats.figures_per_instance
+        }
+        assert contexts == {"SRAM6T": 6}
+        assert result.per_cell_variants == contexts
+        # One flat region per referenced cell, reused by the other 15.
+        assert counts["hier.cell_cache_misses"]["value"] == 1
+        assert counts["hier.cell_cache_hits"]["value"] == 15

@@ -247,6 +247,19 @@ class TestBadInput:
         assert self.correct(gds, tmp_path, "--dose", "1.0") == 2
         assert capsys.readouterr().err == f"error: {gds}: No such file or directory\n"
 
+    @pytest.mark.parametrize("command", ["correct", "check", "mrc", "profile", "report"])
+    def test_empty_layer_is_named(self, stdcell_gds, tmp_path, capsys, command):
+        output = tmp_path / "out.gds"
+        argv = [command, str(stdcell_gds), "--cell", "INV", "--layer", "99"]
+        if command in ("correct", "profile", "report"):
+            argv += ["--dose", "1.0"]
+        if command == "correct":
+            argv += ["-o", str(output)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: cell 'INV' has no geometry on layer 99/0\n"
+        assert not output.exists()
+
     def test_garbage_input_gds_is_named(self, tmp_path, capsys):
         gds = tmp_path / "garbage.gds"
         gds.write_bytes(b"not a GDSII stream")
@@ -283,8 +296,10 @@ class TestProfile:
         assert "tapeout.correct" in stage_names
 
     def test_profile_gds_needs_layer(self, stdcell_gds, capsys):
-        assert main(["profile", str(stdcell_gds)]) == 2
-        assert "needs --layer" in capsys.readouterr().err
+        for command in ("check", "mrc", "profile"):
+            assert main([command, str(stdcell_gds)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {command} needs --layer with a GDS file\n"
 
 
 class TestCorrectMore:

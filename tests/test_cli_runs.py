@@ -97,6 +97,22 @@ class TestRunsCommands:
             capsys.readouterr().out
         )
 
+    def test_check_against_a_zero_second_baseline(self, tmp_path, capsys):
+        from tests.obs.test_runs import timed_record
+
+        ledger = obs_runs.RunLedger(tmp_path)
+        ledger.append(timed_record(0.0))
+        ledger.append(timed_record(0.002))
+        code = main(
+            ["runs", "check", "--against", "prev", "--abs-floor", "0",
+             "--dir", str(tmp_path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.startswith("runs check: FAIL (1 regressions)")
+        assert "REGRESSION [span] tapeout: 0 -> 0.002 (+0.002 s over" in captured.out
+        assert captured.err == ""
+
     def test_check_strict_blocks_on_thin_history(self, tmp_path, capsys):
         assert main(PROFILE_ARGS + ["--runs-dir", str(tmp_path)]) == 0
         capsys.readouterr()
