@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
+import numpy as np
+
 from ..errors import GeometryError
 from .booleans import boolean_loops, edge_bands, sweep_rects
 from .point import Coord
@@ -67,6 +69,15 @@ class Region:
         for rect in rects:
             region._add(rect)
         return region
+
+    @classmethod
+    def from_rect_array(cls, rects: np.ndarray) -> "Region":
+        """The canonical region covering an ``(n, 4)`` int64 rect array.
+
+        Rows are ``(x1, y1, x2, y2)`` with ``x1 <= x2`` and ``y1 <= y2``;
+        they may overlap.  One sweep merges them, with no per-rect object.
+        """
+        return cls._from_canonical(boolean_loops(rects, [], "union"))
 
     @classmethod
     def _from_canonical(cls, loops: List[List[Coord]]) -> "Region":

@@ -49,6 +49,9 @@ class Diagnostic:
     location: Optional[Rect] = None
     #: Owning cell of ``location``, when a hierarchy was available.
     cell: Optional[str] = None
+    #: Findings this diagnostic stands for: more than 1 on the summary line
+    #: ("... and N more") that closes a rule's capped location list.
+    count: int = 1
 
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {
@@ -56,6 +59,8 @@ class Diagnostic:
             "severity": self.severity.value,
             "message": self.message,
         }
+        if self.count != 1:
+            data["count"] = self.count
         if self.hint is not None:
             data["hint"] = self.hint
         if self.location is not None:
@@ -110,17 +115,18 @@ class LintReport:
     def warnings(self) -> List[Diagnostic]:
         return self.of_severity(Severity.WARNING)
 
+    # Counts are of findings: a "... and N more" line counts N.
     @property
     def error_count(self) -> int:
-        return len(self.errors)
+        return sum(d.count for d in self.errors)
 
     @property
     def warning_count(self) -> int:
-        return len(self.warnings)
+        return sum(d.count for d in self.warnings)
 
     @property
     def info_count(self) -> int:
-        return len(self.of_severity(Severity.INFO))
+        return sum(d.count for d in self.of_severity(Severity.INFO))
 
     @property
     def has_errors(self) -> bool:

@@ -64,8 +64,9 @@ def preflight_correction(
 def gate(report: LintReport, stage: str = "preflight") -> LintReport:
     """Raise :class:`PreflightError` when ``report`` holds errors."""
     if report.has_errors:
-        heads = "; ".join(str(d) for d in report.errors[:3])
-        more = report.error_count - min(report.error_count, 3)
+        listed = report.errors[:3]
+        heads = "; ".join(str(d) for d in listed)
+        more = report.error_count - sum(d.count for d in listed)
         if more:
             heads += f"; and {more} more"
         raise PreflightError(

@@ -80,6 +80,7 @@ def _located(
             severity=severity,
             message=f"... and {overflow} more instance(s) of: {message}",
             hint=hint,
+            count=overflow,
         )
 
 

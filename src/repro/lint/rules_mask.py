@@ -92,6 +92,7 @@ def _rule_diagnostics(
             severity=_SEVERITIES[severity],
             message=f"... and {overflow} more {kind} violation(s)",
             hint=_HINTS.get(code),
+            count=overflow,
         )
 
 

@@ -18,35 +18,36 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import LithoError
-from ..geometry import Rect, Region
+from ..geometry import Region
 from .raster import Grid
 
 
 def printed_region(develop: np.ndarray, grid: Grid) -> Region:
     """The boolean develop map as an exact pixel-aligned region.
 
-    Pixel corners land on the nearest dbu; runs of set pixels become rects
-    which are merged into a canonical region.
+    Pixel corners land on the nearest dbu (half to even, as ``round``);
+    runs of set pixels along each row become rects, which one sweep merges
+    into a canonical region.
     """
     if develop.shape != grid.shape:
         raise LithoError(f"map shape {develop.shape} != grid shape {grid.shape}")
-    rects: List[Rect] = []
+    padded = np.zeros((grid.ny, grid.nx + 2), dtype=np.int8)
+    padded[:, 1:-1] = develop
+    delta = np.diff(padded, axis=1)
+    # Row-major order pairs each row's run starts with its stops.
+    rows, starts = np.nonzero(delta == 1)
+    stops = np.nonzero(delta == -1)[1]
     p = grid.pixel_nm
-    for iy in range(grid.ny):
-        row = develop[iy]
-        if not row.any():
-            continue
-        padded = np.concatenate(([False], row, [False]))
-        delta = np.diff(padded.astype(np.int8))
-        starts = np.flatnonzero(delta == 1)
-        stops = np.flatnonzero(delta == -1)
-        y1 = int(round(grid.y0 + iy * p))
-        y2 = int(round(grid.y0 + (iy + 1) * p))
-        for lo, hi in zip(starts, stops):
-            x1 = int(round(grid.x0 + lo * p))
-            x2 = int(round(grid.x0 + hi * p))
-            rects.append(Rect(x1, y1, x2, y2))
-    return Region.from_rects(rects).merged()
+    rects = np.stack(
+        [
+            grid.x0 + starts * p,
+            grid.y0 + rows * p,
+            grid.x0 + stops * p,
+            grid.y0 + (rows + 1) * p,
+        ],
+        axis=1,
+    )
+    return Region.from_rect_array(np.rint(rects).astype(np.int64))
 
 
 def edge_offset(
@@ -147,20 +148,22 @@ def edge_offsets_batch(
     samples = grid.sample(image, points).reshape(len(sites), len(offsets))
     above = samples >= threshold
     flips = above[:, 1:] != above[:, :-1]
-    results: List[Tuple[Optional[float], str]] = []
-    for row in range(len(sites)):
-        crossings = np.flatnonzero(flips[row])
-        if len(crossings) == 0:
-            results.append((None, "bright" if above[row].all() else "dark"))
-            continue
-        lo = samples[row, crossings]
-        hi = samples[row, crossings + 1]
-        frac = (threshold - lo) / (hi - lo)
-        t = offsets[crossings] + frac * step_nm
-        # argmin keeps the first minimal |t|, matching the scalar loop's
-        # strict-< comparison.
-        results.append((float(t[np.argmin(np.abs(t))]), "found"))
-    return results
+    found = flips.any(axis=1)
+    states = np.where(found, "found", np.where(above.all(axis=1), "bright", "dark"))
+    if not found.any():
+        return [(None, state) for state in states.tolist()]
+    # Every step's crossing, as the scalar path computes it at a flip.
+    lo, hi = samples[:, :-1], samples[:, 1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = offsets[:-1] + (threshold - lo) / (hi - lo) * step_nm
+    # argmin keeps the first minimal |t|, matching the scalar loop's
+    # strict-< comparison; steps that do not cross never win.
+    nearest = np.argmin(np.where(flips, np.abs(t), np.inf), axis=1)
+    values = t[np.arange(len(t)), nearest].tolist()
+    return [
+        (value if ok else None, state)
+        for value, ok, state in zip(values, found.tolist(), states.tolist())
+    ]
 
 
 def cutline_cd(

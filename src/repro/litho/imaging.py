@@ -9,10 +9,13 @@ Two engines compute the same physics:
   cross-coefficient matrix restricted to the transmitted frequency
   support into coherent kernels (Sum Of Coherent Systems), through a thin
   SVD of the source-pupil amplitude matrix, and keeps the dominant
-  kernels.  Each kernel field is evaluated on the smallest grid that
+  kernels.  The mask spectrum is needed only at the kernel support,
+  which a :class:`~repro.litho.masks.MaskSpec` gives straight from its
+  geometry.  Each kernel field is evaluated on the smallest grid that
   holds its band-limited intensity, and the summed intensity is
-  Fourier-upsampled once, which is what makes iterative model-based OPC
-  affordable.
+  Fourier-upsampled once -- with the resist blur, when given, multiplied
+  into the band on the way -- which is what makes iterative model-based
+  OPC affordable.
 
 Intensity normalisation: source weights sum to 1 and the pupil has unit
 transmission, so an all-clear mask images to intensity 1.0.
@@ -20,7 +23,7 @@ transmission, so an all-clear mask images to intensity 1.0.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -28,9 +31,11 @@ from scipy.fft import next_fast_len
 from ..errors import LithoError
 from ..obs import count as _obs_count
 from .kernel_cache import KernelSet, KernelStore, kernel_fingerprint
+from .masks import MaskSpec
 from .optics import OpticalSettings
 from .pupil import Aberrations, Pupil
 from .raster import Grid
+from .resist import Transfer
 
 
 class AbbeEngine:
@@ -93,16 +98,29 @@ class SOCSEngine:
         self._cache: Dict[Tuple[int, int, float, float], KernelSet] = {}
 
     def image(
-        self, mask_field: np.ndarray, grid: Grid, defocus_nm: float = 0.0
+        self,
+        mask: Union[MaskSpec, np.ndarray],
+        grid: Grid,
+        defocus_nm: float = 0.0,
+        blur: Optional[Transfer] = None,
     ) -> np.ndarray:
-        """Aerial-image intensity of ``mask_field`` on ``grid``."""
-        if mask_field.shape != grid.shape:
-            raise LithoError(
-                f"mask shape {mask_field.shape} != grid shape {grid.shape}"
-            )
+        """Aerial-image intensity of ``mask`` on ``grid``, blurred by ``blur``.
+
+        ``mask`` is a :class:`MaskSpec`, whose spectrum at the kernel
+        support comes from :meth:`MaskSpec.spectrum`, or a complex field
+        array of the grid's shape, which takes a full FFT.  ``blur`` is a
+        transfer pair (:meth:`~repro.litho.resist.ThresholdResist.transfer`)
+        multiplied into the upsampled band, so the image comes back
+        already convolved with it.
+        """
+        if isinstance(mask, np.ndarray) and mask.shape != grid.shape:
+            raise LithoError(f"mask shape {mask.shape} != grid shape {grid.shape}")
         kernels = self.kernel_set(grid, defocus_nm)
-        spectrum = np.fft.fft2(mask_field)
-        support_values = spectrum[kernels.support_iy, kernels.support_ix]
+        support = (kernels.support_iy, kernels.support_ix)
+        if isinstance(mask, MaskSpec):
+            support_values = mask.spectrum(grid, *support)
+        else:
+            support_values = np.fft.fft2(mask)[support]
         # A kernel field whose spectrum lies within +-K bins has an
         # intensity within +-2K bins, which 4K+1 samples per axis hold
         # without aliasing.  So every field is evaluated on that coarse
@@ -116,7 +134,7 @@ class SOCSEngine:
         # relative to the full grid; the intensity carries that squared.
         weights = kernels.eigenvalues * ((my * mx) / (grid.ny * grid.nx)) ** 2
         coarse = np.tensordot(weights, fields.real**2 + fields.imag**2, axes=1)
-        if (my, mx) == grid.shape:
+        if (my, mx) == grid.shape and blur is None:
             return coarse
         band = np.fft.rfft2(coarse, norm="forward")
         padded = np.zeros((grid.ny, grid.nx // 2 + 1), dtype=complex)
@@ -126,6 +144,8 @@ class SOCSEngine:
             padded[grid.ny - half_y :, cols] = band[my - half_y :, cols]
         else:
             padded[:, cols] = band[:, cols]
+        if blur is not None:
+            padded[:, cols] *= np.outer(blur[0], blur[1][cols])
         return np.fft.irfft2(padded, s=grid.shape, norm="forward")
 
     def kernel_set(self, grid: Grid, defocus_nm: float) -> KernelSet:

@@ -2,9 +2,11 @@
 
 A :class:`MaskSpec` is a background transmission plus an ordered list of
 *paints* -- (region, complex transmission) pairs applied with overwrite
-semantics.  Rasterising the spec yields the complex mask field the imaging
-engines consume.  Helper constructors build the three mask technologies of
-the 2001 RET toolbox from layout regions.
+semantics.  Rasterising the spec yields the complex mask field; the SOCS
+engine reads only the field's spectrum at its kernel support, which
+:meth:`MaskSpec.spectrum` takes from the geometry.  Helper constructors
+build the three mask technologies of the 2001 RET toolbox from layout
+regions.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from ..errors import LithoError
 from ..geometry import Region
-from .raster import Grid, rasterize
+from .raster import Grid, coverage_spectrum, rasterize
 
 #: Nominal intensity transmission of attenuated-PSM absorber (6 percent MoSi).
 ATTPSM_TRANSMISSION = 0.06
@@ -44,6 +46,29 @@ class MaskSpec:
             coverage = rasterize(region, grid)
             result = result * (1.0 - coverage) + transmission * coverage
         return result
+
+    def spectrum(self, grid: Grid, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
+        """``fft2(self.field(grid))[iy, ix]``: the field's DFT at bins ``(iy, ix)``.
+
+        With one non-empty paint the field is ``background + (t -
+        background) * coverage``, linear in the coverage, so its spectrum
+        comes from :func:`~repro.litho.raster.coverage_spectrum` with no
+        raster.  Overwrite paints that share a partly covered pixel do not
+        add linearly, so a mask with two or more non-empty paints takes
+        the raster and a full FFT.
+        """
+        painted = [(region, t) for region, t in self.paints if not region.is_empty]
+        if len(painted) > 1:
+            return np.fft.fft2(self.field(grid))[iy, ix]
+        values = np.where(
+            (iy == 0) & (ix == 0), self.background * (grid.nx * grid.ny), 0j
+        )
+        if painted:
+            region, transmission = painted[0]
+            values += (transmission - self.background) * coverage_spectrum(
+                region, grid, iy, ix
+            )
+        return values
 
     def biased(self, bias_nm: int) -> "MaskSpec":
         """The same mask with every painted region sized by ``bias_nm``.

@@ -121,6 +121,57 @@ def rasterize(region: Region, grid: Grid) -> np.ndarray:
     return coverage
 
 
+def coverage_spectrum(
+    region: Region, grid: Grid, iy: np.ndarray, ix: np.ndarray
+) -> np.ndarray:
+    """``fft2(rasterize(region, grid))[iy, ix]``, computed from the rects.
+
+    A rect's exact coverage is the outer product of two per-axis coverage
+    vectors, so its DFT is the product of their 1-D DFTs, each a closed
+    form over the covered pixel interval.  The rects' per-axis sums are
+    taken at the distinct bins of ``iy`` and ``ix`` only, and their
+    products summed and gathered, so no raster or full-grid FFT is made.
+    Intervals are clamped to the grid's ``[0, n]`` pixels, which clips
+    exactly as :func:`rasterize` does.
+    """
+    boxes = np.asarray(region.rects(), dtype=float).reshape(-1, 4)
+    p = grid.pixel_nm
+    xs = np.clip((boxes[:, 0::2] - grid.x0) / p, 0.0, grid.nx)
+    ys = np.clip((boxes[:, 1::2] - grid.y0) / p, 0.0, grid.ny)
+    ky, row = np.unique(iy, return_inverse=True)
+    kx, col = np.unique(ix, return_inverse=True)
+    cy = _interval_dft(ys[:, 0], ys[:, 1], ky, grid.ny)
+    cx = _interval_dft(xs[:, 0], xs[:, 1], kx, grid.nx)
+    # einsum, not ``cy.T @ cx``: BLAS would fan this small product out
+    # over threads that a process pool's workers already occupy.
+    return np.einsum("ry,rx->yx", cy, cx)[row, col]
+
+
+def _interval_dft(lo: np.ndarray, hi: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
+    """DFT bins ``k`` of each interval's per-pixel coverage, shape ``(len(lo), len(k))``.
+
+    Interval ``[a, b]`` (pixel units, ``0 <= a <= b <= n``) covers pixel
+    ``x`` by ``S(x + 1) - S(x)`` for the ramp ``S(t) = clamp(t, a, b)``.
+    With ``w = exp(-2 pi i k / n)`` and ``m = floor``, its DFT is
+    ``(w^ma - w^mb) / (1 - w) + frac(b) w^mb - frac(a) w^ma``: the
+    geometric sum over pixels ``ma .. mb - 1`` corrected by the two partial
+    pixels.  ``k = 0`` is the covered length ``b - a``.  An interval ending
+    at ``n`` has ``frac(b) = 0``, so nothing wraps onto pixel 0.
+    """
+    ma = np.floor(lo).astype(np.int64)
+    mb = np.floor(hi).astype(np.int64)
+    k = k.astype(np.int64)
+    # Exact integer phases keep every exponent in [0, 2 pi).
+    wa = np.exp((-2j * np.pi / n) * ((ma[:, None] * k) % n))
+    wb = np.exp((-2j * np.pi / n) * ((mb[:, None] * k) % n))
+    dc = k == 0
+    w = np.exp((-2j * np.pi / n) * k)
+    w[dc] = 0.0  # any value but 1; the DC column is replaced below
+    sums = (wa - wb) / (1.0 - w) + (hi - mb)[:, None] * wb - (lo - ma)[:, None] * wa
+    sums[:, dc] = (hi - lo)[:, None]
+    return sums
+
+
 def _add_rect_coverage(coverage: np.ndarray, grid: Grid, rect: Rect) -> None:
     """Add one rectangle's exact per-pixel area fraction (separable)."""
     p = grid.pixel_nm

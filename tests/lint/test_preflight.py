@@ -18,11 +18,13 @@ from repro.flow import (
 from repro.geometry import Rect, Region
 from repro.lint import (
     Diagnostic,
+    LintContext,
     LintReport,
     Severity,
     gate,
     preflight_correction,
     preflight_tapeout,
+    run_lint,
 )
 from repro.litho import LithoConfig, LithoSimulator, krf_annular
 from repro.opc import ModelOPCRecipe, TilingSpec
@@ -96,6 +98,24 @@ class TestGate:
             gate(report)
         assert "7 blocking problem(s)" in str(err.value)
         assert "and 4 more" in str(err.value)
+
+
+    def test_findings_past_the_location_cap_all_count(self, simulator):
+        """25 sub-resolution bars list 20 locations and one "... and 5
+        more" line; the gate counts the 25 findings, not the 21 lines."""
+        bars = Region.from_rects(
+            [Rect(200 * i, 0, 200 * i + 30, 400) for i in range(25)]
+        )
+        report = run_lint(
+            LintContext(layout=bars, litho=simulator.config), codes=["LNT201"]
+        )
+        assert len(report) == 21
+        assert report.error_count == 25
+        assert report.summary_dict()["errors"] == 25
+        with pytest.raises(PreflightError) as err:
+            gate(report)
+        assert "found 25 blocking problem(s)" in str(err.value)
+        assert "; and 22 more" in str(err.value)
 
 
 class TestPreflightFunctions:

@@ -9,12 +9,34 @@ from repro.litho import (
     FocusExposureMatrix,
     LithoConfig,
     LithoSimulator,
+    ThresholdResist,
     dof_at_exposure_latitude,
     dose_bounds,
     exposure_latitude_curve,
     krf_annular,
     run_fem,
 )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("pixel_nm", 0),
+        ("pixel_nm", -8),
+        ("pixel_nm", float("nan")),
+        ("pixel_nm", float("inf")),
+        ("diffusion_nm", float("nan")),
+        ("diffusion_nm", float("inf")),
+    ],
+)
+def test_bad_litho_numbers_fail_at_construction(field, value):
+    """A pixel size or diffusion length that no grid or kernel can use is
+    rejected where it is given, not later inside a simulation."""
+    with pytest.raises(LithoError):
+        if field == "pixel_nm":
+            LithoConfig(optics=krf_annular(), pixel_nm=value)
+        else:
+            ThresholdResist(diffusion_nm=value)
 
 
 class TestSimulatorFacade:

@@ -58,6 +58,19 @@ def jog_gds(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def bars_gds(tmp_path_factory):
+    """25 bars 30 nm wide: more MRC101 (and LNT201) findings than the 20
+    locations a rule lists."""
+    lib = Library("bars")
+    cell = lib.new_cell("BARS")
+    for i in range(25):
+        cell.add(POLY, Rect(200 * i, 0, 200 * i + 30, 400))
+    path = tmp_path_factory.mktemp("mrc") / "bars.gds"
+    write_gds(lib, path)
+    return path
+
+
+@pytest.fixture(scope="module")
 def block_gds(tmp_path_factory):
     path = tmp_path_factory.mktemp("mrc") / "block.gds"
     assert main(["generate", "block", "-o", str(path)]) == 0
@@ -112,6 +125,30 @@ class TestGdsMode:
             "--format", "sarif", "-o", str(out),
         ])
         assert json.loads(out.read_text())["version"] == "2.1.0"
+
+
+class TestFindingCounts:
+    """Footers and summaries count findings, not the capped report's lines."""
+
+    @pytest.mark.parametrize("command", ["mrc", "check"])
+    def test_text_footer_counts_past_the_location_cap(
+        self, command, bars_gds, capsys
+    ):
+        assert main([command, str(bars_gds), "--layer", "3"]) == 1
+        out = capsys.readouterr().out
+        assert "... and 5 more" in out
+        assert "25 error(s), 0 warning(s), 0 info" in out
+
+    @pytest.mark.parametrize("command", ["mrc", "check"])
+    def test_json_summary_counts_past_the_location_cap(
+        self, command, bars_gds, capsys
+    ):
+        main([command, str(bars_gds), "--layer", "3", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["summary"]["errors"] == 25
+        assert len(payload["diagnostics"]) == 21
+        assert payload["diagnostics"][-1]["count"] == 5
+        assert all("count" not in d for d in payload["diagnostics"][:-1])
 
 
 class TestLedgerMode:
