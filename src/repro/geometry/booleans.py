@@ -14,10 +14,13 @@ grid cells, with the running counts carried from one chunk to the next,
 so temporaries are bounded by the chunk and the output rather than by the
 whole grid.
 
-An operand is a list of loops, or an ``(n, 4)`` int64 array of rects
-``(x1, y1, x2, y2)`` with ``x1 <= x2`` and ``y1 <= y2``.  A rect array enters
-the sweep as winding edges with no per-rect Python object; sizing passes
-its edge bands (:func:`edge_bands`) this way.
+An operand is a list of loops, a :class:`LoopArray` (loops as flat vertex
+arrays), or an ``(n, 4)`` int64 array of rects ``(x1, y1, x2, y2)`` with
+``x1 <= x2`` and ``y1 <= y2``.  The array forms enter the sweep as winding
+edges with no per-vertex or per-rect Python object: sizing passes its edge
+bands (:func:`edge_bands`) as rects, and fragment biasing its rebuilt loops
+as a :class:`LoopArray`.  :func:`union_runs` keeps a sweep's joined slab
+runs, from which both the slab rects and the loops come.
 
 Coordinates are exact integers throughout, so results are exact: no epsilon
 tolerances, no slivers from floating-point snapping.
@@ -31,19 +34,30 @@ winding ``+1`` inside, matching the nonzero fill rule.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import GeometryError
 from .point import Coord
 from .rect import Rect
-from .stitch import stitch_slabs, value_runs
+from .stitch import SlabRuns, slab_runs, stitch_runs, value_runs
 
 Loop = Sequence[Coord]
 
-#: One boolean operand: a loop set, or an ``(n, 4)`` int64 rect array.
-Operand = Union[Sequence[Loop], np.ndarray]
+
+class LoopArray(NamedTuple):
+    """Loops as flat int64 vertex arrays: loop ``k`` is the next
+    ``lengths[k]`` vertices ``(x, y)``, in loop order."""
+
+    x: np.ndarray
+    y: np.ndarray
+    lengths: np.ndarray
+
+
+#: One boolean operand: a loop set, a :class:`LoopArray`, or an ``(n, 4)``
+#: int64 rect array.
+Operand = Union[Sequence[Loop], LoopArray, np.ndarray]
 
 #: A boolean predicate over per-operand winding-count arrays (see
 #: :func:`sweep_rects` for the array contract).
@@ -67,38 +81,50 @@ _Edges = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 _Sweep = Tuple[np.ndarray, np.ndarray, Iterator[Tuple[int, np.ndarray]]]
 
 
-def sweep_rects(operands: Sequence[Operand], predicate: Predicate) -> List[Rect]:
+def sweep_rects(operands: Sequence[Operand], predicate: Predicate) -> np.ndarray:
     """Decompose ``predicate(operands)`` into disjoint slab rectangles.
 
-    ``operands`` is a list of operands (loop sets or rect arrays).  The
-    predicate receives one 2-D winding-count array per operand, of shape
-    ``(slabs, intervals)`` for a chunk of consecutive slabs, and returns a
-    boolean array of the same shape marking the covered cells.  It is
-    called once per chunk, so it must be elementwise: a cell's result may
-    depend only on the operands' counts at that cell.
+    ``operands`` is a list of operands.  The predicate receives one 2-D
+    winding-count array per operand, of shape ``(slabs, intervals)`` for a
+    chunk of consecutive slabs, and returns a boolean array of the same
+    shape marking the covered cells.  It is called once per chunk, so it
+    must be elementwise: a cell's result may depend only on the operands'
+    counts at that cell.
 
-    Returned rectangles are disjoint, sorted by x then y, and each spans a
-    single slab of the sweep with maximal y-extent.  Coordinates are
-    Python ints.
+    Returns an ``(n, 4)`` int64 rect array ``(x1, y1, x2, y2)``: disjoint
+    rects, sorted by x then y, each spanning a single slab of the sweep
+    with maximal y-extent (see :func:`rect_list` for ``Rect`` objects).
     """
     swept = _sweep(operands, predicate)
     if swept is None:
-        return []
+        return np.zeros((0, 4), dtype=np.int64)
     xs, ys, chunks = swept
-    rects: List[Rect] = []
+    parts = [np.zeros((0, 4), dtype=np.int64)]
     for first, mask in chunks:
         slab, lo, hi, _ = value_runs(mask.view(np.int8))
         slab += first
-        rects.extend(
-            map(
-                Rect,
-                xs[slab].tolist(),
-                ys[lo].tolist(),
-                xs[slab + 1].tolist(),
-                ys[hi].tolist(),
-            )
-        )
-    return rects
+        parts.append(np.stack((xs[slab], ys[lo], xs[slab + 1], ys[hi]), axis=1))
+    return np.concatenate(parts)
+
+
+def rect_list(rects: np.ndarray) -> List[Rect]:
+    """An ``(n, 4)`` rect array as :class:`Rect` objects with Python ints."""
+    return list(map(Rect, *rects.T.tolist()))
+
+
+def union_runs(operand: Operand) -> Optional[SlabRuns]:
+    """The nonzero-winding union of ``operand`` as joined slab runs.
+
+    The runs hold the canonical form's slab rects
+    (:meth:`~repro.geometry.stitch.SlabRuns.rects`) and everything
+    :func:`~repro.geometry.stitch.stitch_runs` needs for its loops, so
+    neither takes a second sweep.  ``None`` when ``operand`` has no
+    vertical edge.
+    """
+    swept = _sweep([operand], lambda counts: counts[0] != 0)
+    if swept is None:
+        return None
+    return slab_runs(*swept)
 
 
 def _sweep(operands: Sequence[Operand], predicate: Predicate) -> Optional[_Sweep]:
@@ -162,19 +188,28 @@ def _coverage_chunks(
         raise GeometryError("boolean sweep ended with open coverage")
 
 
-def _loop_edges(loops: Sequence[Loop]) -> Tuple[np.ndarray, ...]:
+def _loop_edges(loops: Union[Sequence[Loop], LoopArray]) -> Tuple[np.ndarray, ...]:
     """Every edge of ``loops`` as arrays ``(x1, y1, x2, y2)``, in loop order.
 
     Loops of fewer than 4 vertices are skipped.  The first edge that is
     neither horizontal nor vertical raises :class:`GeometryError`.
     """
-    kept = [loop for loop in loops if len(loop) >= 4]
-    lengths = np.fromiter(map(len, kept), dtype=np.intp, count=len(kept))
-    n = int(lengths.sum())
-    flat = np.fromiter(
-        chain.from_iterable(chain.from_iterable(kept)), dtype=np.int64, count=2 * n
-    )
-    x1, y1 = flat[0::2], flat[1::2]
+    if isinstance(loops, LoopArray):
+        x1, y1, lengths = loops
+        short = lengths < 4
+        if short.any():
+            keep = np.repeat(~short, lengths)
+            x1, y1, lengths = x1[keep], y1[keep], lengths[~short]
+    else:
+        kept = [loop for loop in loops if len(loop) >= 4]
+        lengths = np.fromiter(map(len, kept), dtype=np.intp, count=len(kept))
+        flat = np.fromiter(
+            chain.from_iterable(chain.from_iterable(kept)),
+            dtype=np.int64,
+            count=2 * int(lengths.sum()),
+        )
+        x1, y1 = flat[0::2], flat[1::2]
+    n = len(x1)
     # Each vertex's successor, wrapping around at the end of its loop.
     ends = lengths.cumsum()
     succ = np.arange(1, n + 1)
@@ -189,7 +224,7 @@ def _loop_edges(loops: Sequence[Loop]) -> Tuple[np.ndarray, ...]:
     return x1, y1, x2, y2
 
 
-def _vertical_edges(loops: Sequence[Loop]) -> _Edges:
+def _vertical_edges(loops: Union[Sequence[Loop], LoopArray]) -> _Edges:
     """Extract all vertical edges of ``loops`` as arrays ``(x, ylo, yhi, w)``.
 
     ``w`` is ``+1`` for downward edges (interior-right winding convention)
@@ -243,7 +278,7 @@ def boolean_rects(a_loops: Operand, b_loops: Operand, op: str) -> List[Rect]:
     overlapping or self-touching loops within one operand are handled
     correctly.
     """
-    return sweep_rects([a_loops, b_loops], _predicate(op))
+    return rect_list(sweep_rects([a_loops, b_loops], _predicate(op)))
 
 
 def boolean_loops(a_loops: Operand, b_loops: Operand, op: str) -> List[List[Coord]]:
@@ -251,9 +286,9 @@ def boolean_loops(a_loops: Operand, b_loops: Operand, op: str) -> List[List[Coor
 
     Outer boundaries come back counter-clockwise and holes clockwise, with
     collinear vertices removed; loop start and order depend only on the
-    covered point set (see :func:`~repro.geometry.stitch.stitch_slabs`).
+    covered point set (see :func:`~repro.geometry.stitch.stitch_runs`).
     """
     swept = _sweep([a_loops, b_loops], _predicate(op))
     if swept is None:
         return []
-    return stitch_slabs(*swept)
+    return stitch_runs(slab_runs(*swept))

@@ -4,7 +4,9 @@ Model-based OPC moves small pieces of polygon edges independently.  This
 module cuts every loop of a region into tagged :class:`Fragment` objects
 (corner pieces, line-end pieces, normal run pieces) and rebuilds a region
 from per-fragment biases, inserting jogs between fragments of the same edge
-and mitring true corners.
+and mitring true corners.  The rebuild is a few array passes over
+per-fragment arrays that a fragment set builds once, so an OPC loop that
+rebiases the same fragments every iteration pays for them once.
 
 Loops follow the interior-left convention throughout (outer CCW, holes CW),
 so each fragment's outward normal is the right-hand normal of its direction
@@ -15,10 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Sequence, Tuple
+from itertools import chain
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..errors import GeometryError
-from .booleans import boolean_loops
+from .booleans import LoopArray, union_runs
 from .point import Coord
 from .region import Region
 
@@ -112,17 +117,34 @@ class FragmentationSpec:
         return self
 
 
-def fragment_region(region: Region, spec: FragmentationSpec) -> List[List[Fragment]]:
+class FragmentLoops(list):
+    """One fragment list per loop, as :func:`fragment_region` returns them.
+
+    A plain list that also keeps the per-fragment arrays
+    :func:`apply_biases` reads, built on its first call, so rebiasing
+    the same set costs no per-fragment Python.  Treat it as read-only.
+    """
+
+    __slots__ = ("_arrays",)
+
+    def __init__(self, loops: Sequence[List[Fragment]] = ()):
+        super().__init__(loops)
+        self._arrays: Optional[_FragmentArrays] = None
+
+
+def fragment_region(region: Region, spec: FragmentationSpec) -> FragmentLoops:
     """Fragment every loop of the canonical form of ``region``.
 
     Returns one fragment list per loop, in loop order, covering each loop's
     boundary exactly once.
     """
     spec = spec.validated()
-    result: List[List[Fragment]] = []
-    for loop_index, loop in enumerate(region.merged().loops):
-        result.append(_fragment_loop(loop, loop_index, spec))
-    return result
+    return FragmentLoops(
+        [
+            _fragment_loop(loop, loop_index, spec)
+            for loop_index, loop in enumerate(region.merged().loops)
+        ]
+    )
 
 
 def _fragment_loop(
@@ -189,51 +211,105 @@ def _fragment_edge(
     return pieces
 
 
+class _FragmentArrays(NamedTuple):
+    """A fragment set flattened in loop order, for :func:`apply_biases`.
+
+    Points are ``(n, 2)`` int64 arrays; a bias ``b`` moves a fragment's
+    ends by ``b * step``, its outward normal.
+    """
+
+    #: Loop sizes, in fragments.
+    counts: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    step: np.ndarray
+    #: Each fragment's successor in its loop, wrapping around.
+    succ: np.ndarray
+    #: Per coordinate, whether the fragment's second point takes its own
+    #: moved end's (``True``) or its successor's moved start's: the end
+    #: where the successor runs the same way, else the mitre.
+    keeps_end: np.ndarray
+    #: Whether the fragment opens its loop (its start is always kept).
+    opens: np.ndarray
+
+
+def _fragment_arrays(loop_fragments: Sequence[Sequence[Fragment]]) -> _FragmentArrays:
+    """The flat arrays of ``loop_fragments``, memoised on a :class:`FragmentLoops`."""
+    if isinstance(loop_fragments, FragmentLoops) and loop_fragments._arrays is not None:
+        return loop_fragments._arrays
+    counts = np.fromiter(map(len, loop_fragments), dtype=np.intp, count=len(loop_fragments))
+    ends = np.array(
+        [f.start + f.end for f in chain.from_iterable(loop_fragments)], dtype=np.int64
+    ).reshape(-1, 2, 2)
+    start, end = ends[:, 0], ends[:, 1]
+    direction = np.sign(end - start)
+    live = counts[counts > 0]
+    first = live.cumsum() - live
+    succ = np.arange(1, len(start) + 1)
+    succ[first + live - 1] = first
+    same = (direction == direction[succ]).all(axis=1)
+    opens = np.zeros(len(start), dtype=bool)
+    opens[first] = True
+    arrays = _FragmentArrays(
+        counts=counts,
+        start=start,
+        end=end,
+        step=direction[:, ::-1] * (1, -1),
+        succ=succ,
+        keeps_end=same[:, None] | (direction == 0),
+        opens=opens,
+    )
+    if isinstance(loop_fragments, FragmentLoops):
+        loop_fragments._arrays = arrays
+    return arrays
+
+
 def apply_biases(
-    loop_fragments: Sequence[Sequence[Fragment]], biases: Sequence[Sequence[int]]
+    loop_fragments: Sequence[Sequence[Fragment]],
+    biases: Union[Sequence[Sequence[int]], np.ndarray],
 ) -> Region:
     """Rebuild a region from fragments moved outward by per-fragment biases.
 
     ``biases[i][j]`` moves fragment ``j`` of loop ``i`` outward by that many
-    dbu (negative values move material inward).  Jogs connect collinear
-    neighbours with different biases; perpendicular neighbours are mitred.
-    Any self-intersection created by large negative biases is resolved by a
-    nonzero-winding merge.
+    dbu (negative values move material inward); ``biases`` may also be one
+    flat integer vector over all fragments in loop order.  Jogs connect
+    collinear neighbours with different biases; perpendicular neighbours
+    are mitred.  Any self-intersection created by large negative biases is
+    resolved by a nonzero-winding merge.
+
+    Each loop's points are those of walking its fragments in order: the
+    moved start (unless it repeats the point before it), then the moved
+    end where the next fragment runs the same way, or else the mitre with
+    the next fragment's moved line.  Loops of fewer than 4 points drop
+    out.  The loops are swept once into slab runs, and the region returned
+    holds their rect array and stitches its loops on first use.
     """
-    if len(loop_fragments) != len(biases):
-        raise GeometryError("biases must match fragment loops")
-    loops: List[List[Coord]] = []
-    for fragments, loop_biases in zip(loop_fragments, biases):
-        if len(fragments) != len(loop_biases):
+    frags = _fragment_arrays(loop_fragments)
+    shift = frags.step * _flat_biases(frags.counts, biases)[:, None]
+    head = frags.start + shift
+    tail = np.where(frags.keeps_end, frags.end + shift, head[frags.succ])
+    repeat = ~frags.opens & (head == np.roll(tail, 1, axis=0)).all(axis=1)
+    keep = np.ones((len(head), 2), dtype=bool)
+    keep[:, 0] = ~repeat
+    points = np.stack((head, tail), axis=1)[keep]
+    loop_of = np.repeat(np.arange(len(frags.counts)), frags.counts)
+    lengths = 2 * frags.counts - np.bincount(loop_of[repeat], minlength=len(frags.counts))
+    return Region._from_runs(union_runs(LoopArray(points[:, 0], points[:, 1], lengths)))
+
+
+def _flat_biases(
+    counts: np.ndarray, biases: Union[Sequence[Sequence[int]], np.ndarray]
+) -> np.ndarray:
+    """``biases`` as one int64 vector in loop order, checked against ``counts``."""
+    if isinstance(biases, np.ndarray) and biases.ndim == 1:
+        if len(biases) != counts.sum():
             raise GeometryError("bias count must match fragment count")
-        loops.append(_rebuild_loop(fragments, loop_biases))
-    loops = [lp for lp in loops if len(lp) >= 4]
-    return Region._from_canonical(boolean_loops(loops, [], "union"))
-
-
-def _rebuild_loop(
-    fragments: Sequence[Fragment], biases: Sequence[int]
-) -> List[Coord]:
-    points: List[Coord] = []
-    n = len(fragments)
-    for i in range(n):
-        cur = fragments[i]
-        nxt = fragments[(i + 1) % n]
-        cur_start, cur_end = cur.shifted(biases[i])
-        nxt_start, _ = nxt.shifted(biases[(i + 1) % n])
-        if not points or points[-1] != cur_start:
-            points.append(cur_start)
-        if cur.direction == nxt.direction:
-            # Same-edge neighbours: emit the jog pair (dedup handles equal
-            # biases via the final simplification).
-            points.append(cur_end)
-        else:
-            # Perpendicular corner: mitre to the intersection of the two
-            # offset lines.
-            mitre_x = cur_end[0] if cur.direction[0] == 0 else nxt_start[0]
-            mitre_y = cur_end[1] if cur.direction[1] == 0 else nxt_start[1]
-            points.append((mitre_x, mitre_y))
-    return points
+        return biases.astype(np.int64, copy=False)
+    if len(biases) != len(counts):
+        raise GeometryError("biases must match fragment loops")
+    if any(len(b) != c for b, c in zip(biases, counts.tolist())):
+        raise GeometryError("bias count must match fragment count")
+    return np.fromiter(chain.from_iterable(biases), dtype=np.int64, count=int(counts.sum()))
 
 
 def _is_convex(prev: Coord, cur: Coord, nxt: Coord) -> bool:

@@ -9,7 +9,11 @@ operations.
 A region may be *raw* (loops as supplied, possibly overlapping) or
 *canonical* (disjoint maximal outer loops counter-clockwise, holes
 clockwise).  All operations accept raw regions and produce canonical ones;
-:meth:`Region.merged` canonicalises explicitly.
+:meth:`Region.merged` canonicalises explicitly.  A canonical region made
+from a sweep's slab runs (:meth:`Region._from_runs`, as fragment biasing
+makes its iterates) holds their rect array and stitches its loops only
+when a caller asks for them; booleans and :meth:`Region.rect_array` read
+the rects.
 """
 
 from __future__ import annotations
@@ -19,10 +23,11 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Union
 import numpy as np
 
 from ..errors import GeometryError
-from .booleans import boolean_loops, edge_bands, sweep_rects
+from .booleans import boolean_loops, edge_bands, rect_list, sweep_rects
 from .point import Coord
 from .polygon import Polygon
 from .rect import Rect
+from .stitch import SlabRuns, stitch_runs
 
 RegionLike = Union["Region", Polygon, Rect, Sequence[Coord]]
 
@@ -30,10 +35,12 @@ RegionLike = Union["Region", Polygon, Rect, Sequence[Coord]]
 class Region:
     """A set of rectilinear loops under the nonzero winding rule."""
 
-    __slots__ = ("_loops", "_canonical")
+    __slots__ = ("_stored", "_canonical", "_runs")
 
     def __init__(self, items: Union[RegionLike, Iterable[RegionLike]] = ()):
-        self._loops: List[List[Coord]] = []
+        self._stored: Optional[List[List[Coord]]] = []
+        #: The canonical form's slab runs, kept by :meth:`_from_runs`.
+        self._runs: Optional[SlabRuns] = None
         self._canonical = False
         if isinstance(items, (Region, Polygon, Rect)):
             items = [items]
@@ -44,21 +51,39 @@ class Region:
         if not self._loops:
             self._canonical = True
 
+    @property
+    def _loops(self) -> List[List[Coord]]:
+        """The stored loops, stitched from the slab runs on first use."""
+        if self._stored is None:
+            self._stored = stitch_runs(self._runs)
+        return self._stored
+
+    @_loops.setter
+    def _loops(self, loops: List[List[Coord]]) -> None:
+        self._stored = loops
+        self._runs = None
+
+    def _operand(self):
+        """The region as a boolean operand: its rect array while unstitched."""
+        return self._runs.rects() if self._stored is None else self._stored
+
     def _add(self, item: RegionLike) -> None:
+        loops = self._loops  # a lazy region stitches before it grows
+        self._runs = None
         self._canonical = False
         if isinstance(item, Region):
-            self._loops.extend([list(lp) for lp in item._loops])
+            loops.extend([list(lp) for lp in item._loops])
         elif isinstance(item, Polygon):
             if not item.is_empty:
-                self._loops.append(item.points)
+                loops.append(item.points)
         elif isinstance(item, Rect):
             if not item.is_empty:
                 x1, y1, x2, y2 = map(int, item)
-                self._loops.append([(x1, y1), (x2, y1), (x2, y2), (x1, y2)])
+                loops.append([(x1, y1), (x2, y1), (x2, y2), (x1, y2)])
         else:
             poly = Polygon(item)  # validates rectilinearity
             if not poly.is_empty:
-                self._loops.append(poly.points)
+                loops.append(poly.points)
 
     # -- construction helpers -------------------------------------------------
 
@@ -86,12 +111,24 @@ class Region:
         region._canonical = True
         return region
 
+    @classmethod
+    def _from_runs(cls, runs: Optional[SlabRuns]) -> "Region":
+        """The canonical region of a sweep's joined slab runs, stitched lazily."""
+        region = cls()
+        if runs is not None and len(runs.slab):
+            region._stored = None
+            region._runs = runs
+        region._canonical = True
+        return region
+
     # -- basic queries ---------------------------------------------------------
 
     @property
     def is_empty(self) -> bool:
         """True when the region covers no area."""
-        if not self._loops:
+        if self._stored is None:
+            return False  # unstitched runs are never empty
+        if not self._stored:
             return True
         if self._canonical:
             return False
@@ -187,7 +224,7 @@ class Region:
     def _binary(self, other: RegionLike, op: str) -> "Region":
         other_region = other if isinstance(other, Region) else Region(other)
         return Region._from_canonical(
-            boolean_loops(self._loops, other_region._loops, op)
+            boolean_loops(self._operand(), other_region._operand(), op)
         )
 
     def __or__(self, other: RegionLike) -> "Region":
@@ -210,7 +247,17 @@ class Region:
 
     def rects(self) -> List[Rect]:
         """Disjoint slab-rectangle decomposition of the covered area."""
-        return sweep_rects([self._loops], lambda counts: counts[0] != 0)
+        return rect_list(self.rect_array())
+
+    def rect_array(self) -> np.ndarray:
+        """:meth:`rects` as an ``(n, 4)`` int64 array ``(x1, y1, x2, y2)``.
+
+        A region made from slab runs returns their rects with no sweep;
+        any other region sweeps its loops once.
+        """
+        if self._runs is not None:
+            return self._runs.rects()
+        return sweep_rects([self._stored], lambda counts: counts[0] != 0)
 
     def outer_polygons(self) -> List[Polygon]:
         """Only the outer (counter-clockwise) loops of the canonical form."""

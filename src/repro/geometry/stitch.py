@@ -15,6 +15,11 @@ fixing.  Grid lines that the result does not use, such as another
 operand's, split no edge, so the edges and their order depend only on the
 covered point set.
 
+:func:`slab_runs` collects a sweep's runs, joined across each strip, and
+its boundary pieces as :class:`SlabRuns`; their rects are the region's
+slab rects, and :func:`stitch_runs` turns them into loops, so a caller
+that needs only the rects skips the stitch.
+
 Edges chain into loops by taking, at each end point, the unused out-edge
 that makes the leftmost turn, and a walk ends only where no unused
 out-edge is left.  Loops are therefore not always simple where the region
@@ -27,7 +32,7 @@ carries on along the other one.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -60,19 +65,47 @@ def value_runs(
     return rows, starts, stops, after[rows, starts]
 
 
-def stitch_slabs(
+class SlabRuns(NamedTuple):
+    """The covered runs of a sweep, joined across slabs of equal coverage.
+
+    Run ``k`` is the rect ``xs[slab[k]]..xs[stop[k]]`` by
+    ``ys[bottom[k]]..ys[top[k]]``: a maximal run of covered cells in the
+    first slab of a strip, spanning the whole strip.  Runs come by strip,
+    then by ordinate.  Piece ``j`` of the vertical boundary lies at
+    ``xs[event[j]]`` over ``ys[lo[j]]..ys[hi[j]]``, with ``side[j]`` the
+    coverage on its left minus that on its right.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+    slab: np.ndarray
+    bottom: np.ndarray
+    top: np.ndarray
+    stop: np.ndarray
+    event: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    side: np.ndarray
+
+    def rects(self) -> np.ndarray:
+        """The runs as an ``(n, 4)`` rect array ``(x1, y1, x2, y2)``, in run order.
+
+        These are the slab rects of the canonical loops' own sweep, so
+        they equal ``Region.merged().rects()`` rect for rect.
+        """
+        xs, ys = self.xs, self.ys
+        return np.stack(
+            (xs[self.slab], ys[self.bottom], xs[self.stop], ys[self.top]), axis=1
+        )
+
+
+def slab_runs(
     xs: np.ndarray, ys: np.ndarray, chunks: Iterable[Tuple[int, np.ndarray]]
-) -> List[List[Coord]]:
-    """Join the covered runs of a sweep into maximal oriented loops.
+) -> SlabRuns:
+    """Collect the covered runs and boundary pieces of a sweep.
 
     ``chunks`` yields ``(first slab, mask)`` in slab order, ``mask[i, j]``
     marking the cell of slab ``first + i`` over ``ys[j]..ys[j + 1]``.
-    Returns vertex loops with collinear points removed; outer loops are
-    counter-clockwise, holes clockwise.  Edge ``2k`` is the bottom of run
-    ``k``, by strip and then by ordinate, and edge ``2k + 1`` its top.
-    Loops come in the order of their lowest-numbered edge, and each starts
-    at that edge's start point, or at the next corner along the loop where
-    that point is not a corner.
     """
     runs: List[Tuple[np.ndarray, ...]] = []
     sides: List[Tuple[np.ndarray, ...]] = []
@@ -89,12 +122,26 @@ def stitch_slabs(
         prev = cover[-1]
     event, lo, hi, side = value_runs(prev[None, :])
     sides.append((event + len(xs) - 1, lo, hi, side))
-    if not any(len(r[0]) for r in runs):
-        return []
-    slab, bottom, top = (np.concatenate(a) for a in zip(*runs))
+    none = np.zeros(0, dtype=np.intp)
+    slab, bottom, top = (np.concatenate(a) for a in zip(*runs)) if runs else (none,) * 3
     event, lo, hi, side = (np.concatenate(a) for a in zip(*sides))
     cuts = np.unique(event)
     stop = cuts[cuts.searchsorted(slab, side="right")]
+    return SlabRuns(xs, ys, slab, bottom, top, stop, event, lo, hi, side)
+
+
+def stitch_runs(runs: SlabRuns) -> List[List[Coord]]:
+    """The maximal oriented loops bounding ``runs``.
+
+    Returns vertex loops with collinear points removed; outer loops are
+    counter-clockwise, holes clockwise.  Edge ``2k`` is the bottom of run
+    ``k`` and edge ``2k + 1`` its top.  Loops come in the order of their
+    lowest-numbered edge, and each starts at that edge's start point, or
+    at the next corner along the loop where that point is not a corner.
+    """
+    xs, ys, slab, bottom, top, stop, event, lo, hi, side = runs
+    if not len(slab):
+        return []
 
     # Horizontal edges interleaved (bottom, top) per run, then the vertical
     # ones.  Points are grid indices (column into xs, row into ys).

@@ -13,6 +13,7 @@ Three measurement styles, in increasing precision:
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -92,12 +93,12 @@ def edge_offset_state(
     everywhere -- a bridged space), or ``"bright"`` when every sample sits
     above (the feature vanished).
     """
+    offsets = _probe_offsets(search_nm, step_nm, "search_nm")
     dx, dy = direction
     norm = float(np.hypot(dx, dy))
     if norm == 0:
         raise LithoError("direction must be non-zero")
     dx, dy = dx / norm, dy / norm
-    offsets = np.arange(-search_nm, search_nm + step_nm / 2, step_nm)
     points = [(anchor[0] + t * dx, anchor[1] + t * dy) for t in offsets]
     samples = grid.sample(image, points)
     above = samples >= threshold
@@ -131,6 +132,7 @@ def edge_offsets_batch(
     so the results are byte-identical to calling
     :func:`edge_offset_state` per site (the parity tests assert this).
     """
+    offsets = _probe_offsets(search_nm, step_nm, "search_nm")
     if len(sites) == 0:
         return []
     anchors = np.array([anchor for anchor, _normal in sites], dtype=float)
@@ -140,7 +142,6 @@ def edge_offsets_batch(
         raise LithoError("direction must be non-zero")
     dx = normals[:, 0] / norms
     dy = normals[:, 1] / norms
-    offsets = np.arange(-search_nm, search_nm + step_nm / 2, step_nm)
     # (n_sites, n_steps) probe coordinates, flattened into one gather.
     px = anchors[:, 0, np.newaxis] + offsets[np.newaxis, :] * dx[:, np.newaxis]
     py = anchors[:, 1, np.newaxis] + offsets[np.newaxis, :] * dy[:, np.newaxis]
@@ -186,8 +187,7 @@ def cutline_cd(
     if axis not in ("x", "y"):
         raise LithoError(f"axis must be 'x' or 'y', got {axis!r}")
     direction = (1.0, 0.0) if axis == "x" else (0.0, 1.0)
-    half = max_width_nm / 2.0
-    offsets = np.arange(-half, half + step_nm / 2, step_nm)
+    offsets = _probe_offsets(max_width_nm, step_nm, "max_width_nm", scale=0.5)
     points = [
         (center[0] + t * direction[0], center[1] + t * direction[1]) for t in offsets
     ]
@@ -207,6 +207,23 @@ def cutline_cd(
     left = _interp_crossing(offsets, samples, lo - 1, threshold)
     right = _interp_crossing(offsets, samples, hi, threshold)
     return right - left
+
+
+def _probe_offsets(
+    span_nm: float, step_nm: float, name: str, scale: float = 1.0
+) -> np.ndarray:
+    """Probe offsets ``-h .. +h`` every ``step_nm``, ``h = scale * span_nm``.
+
+    ``span_nm`` (named ``name`` in the error) must be finite and at least
+    0, and ``step_nm`` finite and positive; anything else raises
+    :class:`LithoError` rather than probing an empty or endless span.
+    """
+    if not (math.isfinite(span_nm) and span_nm >= 0):
+        raise LithoError(f"{name} must be finite and >= 0, got {span_nm}")
+    if not (math.isfinite(step_nm) and step_nm > 0):
+        raise LithoError(f"step_nm must be finite and positive, got {step_nm}")
+    half = span_nm * scale
+    return np.arange(-half, half + step_nm / 2, step_nm)
 
 
 def _interp_crossing(

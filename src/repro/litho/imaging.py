@@ -15,7 +15,8 @@ Two engines compute the same physics:
   holds its band-limited intensity, and the summed intensity is
   Fourier-upsampled once -- with the resist blur, when given, multiplied
   into the band on the way -- which is what makes iterative model-based
-  OPC affordable.
+  OPC affordable.  Both inverse transforms skip the lines that the band
+  leaves all zero.
 
 Intensity normalisation: source weights sum to 1 and the pupil has unit
 transmission, so an all-clear mask images to intensity 1.0.
@@ -127,9 +128,17 @@ class SOCSEngine:
         # grid, and the summed intensity is Fourier-upsampled once.
         my, half_y, iy = _band(kernels.support_iy, grid.ny)
         mx, half_x, ix = _band(kernels.support_ix, grid.nx)
+        # The inverse FFT of the fields, one axis at a time as ``ifft2``
+        # runs it: along x on the support's rows only, the other rows
+        # being all zero, then along y.  numpy transforms each line on its
+        # own, so the fields equal ``ifft2`` of the full coarse grid bit
+        # for bit.
+        rows, row = np.unique(iy, return_inverse=True)
+        lines = np.zeros((len(kernels.eigenvalues), len(rows), mx), dtype=complex)
+        lines[:, row, ix] = kernels.eigenvectors * support_values
         fields = np.zeros((len(kernels.eigenvalues), my, mx), dtype=complex)
-        fields[:, iy, ix] = kernels.eigenvectors * support_values
-        fields = np.fft.ifft2(fields)
+        fields[:, rows] = np.fft.ifft(lines, axis=2)
+        fields = np.fft.ifft(fields, axis=1)
         # ``ifft2`` on the coarse grid scales each field by (ny*nx)/(my*mx)
         # relative to the full grid; the intensity carries that squared.
         weights = kernels.eigenvalues * ((my * mx) / (grid.ny * grid.nx)) ** 2
@@ -146,7 +155,10 @@ class SOCSEngine:
             padded[:, cols] = band[:, cols]
         if blur is not None:
             padded[:, cols] *= np.outer(blur[0], blur[1][cols])
-        return np.fft.irfft2(padded, s=grid.shape, norm="forward")
+        # ``irfft2``'s two steps, the inverse along y on the band's
+        # columns only (the rest are zero), then the real inverse along x.
+        padded[:, cols] = np.fft.ifft(padded[:, cols], axis=0, norm="forward")
+        return np.fft.irfft(padded, n=grid.nx, axis=1, norm="forward")
 
     def kernel_set(self, grid: Grid, defocus_nm: float) -> KernelSet:
         """The cached (or freshly built) kernels for this grid and focus.

@@ -32,14 +32,14 @@ class Grid:
     ny: int
 
     def __post_init__(self) -> None:
-        if self.pixel_nm <= 0:
-            raise LithoError(f"pixel size must be positive, got {self.pixel_nm}")
+        _check_pixel(self.pixel_nm)
         if self.nx < 2 or self.ny < 2:
             raise LithoError(f"grid must be at least 2x2, got {self.nx}x{self.ny}")
 
     @classmethod
     def over_window(cls, window: Rect, pixel_nm: float) -> "Grid":
         """The smallest grid of ``pixel_nm`` pixels covering ``window``."""
+        _check_pixel(pixel_nm)
         nx = max(2, int(np.ceil(window.width / pixel_nm)))
         ny = max(2, int(np.ceil(window.height / pixel_nm)))
         return cls(window.x1, window.y1, pixel_nm, nx, ny)
@@ -107,6 +107,11 @@ class Grid:
         )
 
 
+def _check_pixel(pixel_nm: float) -> None:
+    if not (np.isfinite(pixel_nm) and pixel_nm > 0):
+        raise LithoError(f"pixel size must be finite and positive, got {pixel_nm}")
+
+
 def rasterize(region: Region, grid: Grid) -> np.ndarray:
     """Exact area-fraction coverage of ``region`` on ``grid``.
 
@@ -126,15 +131,17 @@ def coverage_spectrum(
 ) -> np.ndarray:
     """``fft2(rasterize(region, grid))[iy, ix]``, computed from the rects.
 
-    A rect's exact coverage is the outer product of two per-axis coverage
-    vectors, so its DFT is the product of their 1-D DFTs, each a closed
-    form over the covered pixel interval.  The rects' per-axis sums are
+    The rects are :meth:`~repro.geometry.region.Region.rect_array`, which
+    a fragment-biased OPC iterate already holds.  A rect's exact coverage
+    is the outer product of two per-axis coverage vectors, so its DFT is
+    the product of their 1-D DFTs, each a closed form over the covered
+    pixel interval.  The rects' per-axis sums are
     taken at the distinct bins of ``iy`` and ``ix`` only, and their
     products summed and gathered, so no raster or full-grid FFT is made.
     Intervals are clamped to the grid's ``[0, n]`` pixels, which clips
     exactly as :func:`rasterize` does.
     """
-    boxes = np.asarray(region.rects(), dtype=float).reshape(-1, 4)
+    boxes = region.rect_array().astype(float)
     p = grid.pixel_nm
     xs = np.clip((boxes[:, 0::2] - grid.x0) / p, 0.0, grid.nx)
     ys = np.clip((boxes[:, 1::2] - grid.y0) / p, 0.0, grid.ny)

@@ -11,6 +11,7 @@ later explored).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -83,8 +84,18 @@ class ModelOPCRecipe:
             raise OPCError(f"damping must be in (0, 1], got {self.damping}")
         if self.max_move_per_iteration_nm < 1 or self.max_total_move_nm < 1:
             raise OPCError("move clamps must be positive")
-        if self.epe_tolerance_nm <= 0:
-            raise OPCError("EPE tolerance must be positive")
+        if not (math.isfinite(self.epe_tolerance_nm) and self.epe_tolerance_nm > 0):
+            raise OPCError(
+                f"EPE tolerance must be finite and positive, got {self.epe_tolerance_nm}"
+            )
+        if not (math.isfinite(self.epe_search_nm) and self.epe_search_nm > 0):
+            raise OPCError(
+                f"EPE search span must be finite and positive, got {self.epe_search_nm}"
+            )
+        if self.missing_edge_move_nm < 0:
+            raise OPCError(
+                f"missing-edge move must be >= 0, got {self.missing_edge_move_nm}"
+            )
         return self
 
 
@@ -113,7 +124,9 @@ def model_opc(
     # Control sites are anchored on the *target* edges, so the measured
     # site list never changes across iterations -- build it once.
     active_sites = [sites[i] for i in active]
-    biases: List[List[int]] = [[0] * len(fragments) for fragments in loops]
+    # One bias per fragment, in loop order; sites outside the window keep
+    # EPE 0 and so never move.
+    biases = np.zeros(len(sites), dtype=np.int64)
     history: List[IterationStats] = []
     corrected = merged
     converged = False
@@ -124,6 +137,7 @@ def model_opc(
         (defocus_nm + extra_defocus, factor, weight)
         for extra_defocus, factor, weight in recipe.process_corners
     )
+    weights = [weight for _d, _f, weight in corners]
 
     with _obs_span("opc.model", fragments=len(sites)) as model_span:
         for iteration in range(1, recipe.max_iterations + 1):
@@ -141,13 +155,9 @@ def model_opc(
                     )
                     for corner_defocus, factor, _weight in corners
                 ]
-                weights = [weight for _d, _f, weight in corners]
-                epes: List[Optional[float]] = [0.0] * len(sites)
-                states: List[str] = ["found"] * len(sites)
-                for position, slot in enumerate(active):
-                    epes[slot], states[slot] = _combine_corners(
-                        [measured[position] for measured in per_corner], weights
-                    )
+                epes = np.zeros(len(sites))
+                states = np.full(len(sites), "found", dtype=object)
+                epes[active], states[active] = _combine_corners(per_corner, weights)
                 stats = _summarise(iteration, epes)
                 history.append(stats)
                 # Track the best iterate: EPE is not guaranteed monotone
@@ -192,13 +202,9 @@ def model_opc(
                     # enabled() guard keeps the disabled path at zero cost
                     # (no per-site loop); buckets merge exactly across
                     # parallel workers.
-                    for position in active:
-                        epe = epes[position]
-                        if epe is not None:
-                            _obs_observe(
-                                "opc.site_epe_nm", abs(epe),
-                                SITE_EPE_NM_BUCKETS,
-                            )
+                    measured = epes[active]
+                    for value in np.abs(measured[~np.isnan(measured)]).tolist():
+                        _obs_observe("opc.site_epe_nm", value, SITE_EPE_NM_BUCKETS)
                 last = converged or iteration == recipe.max_iterations
                 if not last:
                     max_move = _update_biases(biases, epes, states, recipe)
@@ -227,7 +233,7 @@ def model_opc(
 def _control_sites(
     loops: Sequence[Sequence[Fragment]], window: Rect
 ) -> Tuple[
-    List[Tuple[Tuple[float, float], Tuple[float, float]]], List[int]
+    List[Tuple[Tuple[float, float], Tuple[float, float]]], np.ndarray
 ]:
     """One (anchor, outward-normal) EPE site per fragment, on the target edge.
 
@@ -244,82 +250,83 @@ def _control_sites(
             if window.contains(anchor):
                 active.append(len(sites))
             sites.append((anchor, fragment.normal))
-    return sites, active
+    return sites, np.array(active, dtype=np.intp)
 
 
 def _combine_corners(
-    measurements: Sequence[Tuple[Optional[float], str]],
+    per_corner: Sequence[Sequence[Tuple[Optional[float], str]]],
     weights: Sequence[float],
-) -> Tuple[Optional[float], str]:
-    """Weighted EPE across process corners for one site.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Weighted EPE across process corners, per site: ``(epes, states)``.
 
-    A site that fails at any corner is reported missing with that corner's
-    failure state -- a catastrophic corner dominates any EPE average.
+    ``per_corner[c][k]`` is site ``k``'s ``(epe or None, state)`` at corner
+    ``c``.  A site that fails at any corner is missing (NaN) with the state
+    of its first failing corner -- a catastrophic corner dominates any EPE
+    average.  The weighted sum runs corner by corner in weight order, as a
+    scalar loop would.
     """
-    total = 0.0
+    values = np.array([[v for v, _s in m] for m in per_corner], dtype=float)  # None -> NaN
+    states = np.array([[s for _v, s in m] for m in per_corner], dtype=object)
+    total = np.zeros(values.shape[1])
     weight_sum = 0.0
-    for (value, state), weight in zip(measurements, weights):
-        if value is None:
-            return None, state
-        total += weight * value
+    for row, weight in zip(values, weights):
+        total += weight * row
         weight_sum += weight
-    return total / weight_sum, "found"
+    failed = np.isnan(values)
+    first = failed.argmax(axis=0)
+    state = np.where(
+        failed.any(axis=0), states[first, np.arange(values.shape[1])], "found"
+    )
+    return total / weight_sum, state
 
 
-def _summarise(iteration: int, epes: Sequence[Optional[float]]) -> IterationStats:
-    values = np.array([e for e in epes if e is not None], dtype=float)
-    missing = sum(1 for e in epes if e is None)
+def _summarise(iteration: int, epes: np.ndarray) -> IterationStats:
+    """The iteration's EPE statistics over every fragment; NaN is missing."""
+    missing = np.isnan(epes)
+    values = epes[~missing]
     if len(values) == 0:
-        return IterationStats(iteration, float("inf"), float("inf"), 0, missing)
+        return IterationStats(
+            iteration, float("inf"), float("inf"), 0, int(missing.sum())
+        )
     return IterationStats(
         iteration=iteration,
         rms_epe_nm=float(np.sqrt(np.mean(values**2))),
         max_epe_nm=float(np.max(np.abs(values))),
         moved_fragments=int(np.count_nonzero(np.abs(values) > 0.25)),
-        missing_edges=missing,
+        missing_edges=int(missing.sum()),
     )
 
 
 def _update_biases(
-    biases: List[List[int]],
-    epes: Sequence[Optional[float]],
-    states: Sequence[str],
+    biases: np.ndarray,
+    epes: np.ndarray,
+    states: np.ndarray,
     recipe: ModelOPCRecipe,
 ) -> int:
     """Damped per-fragment move against the measured EPE, with clamps.
 
-    Returns the largest bias change actually applied (nm) -- the
-    convergence-telemetry "max move" of this iteration, which goes to
-    zero as the correction settles.
+    Updates ``biases`` in place and returns the largest bias change
+    actually applied (nm) -- the convergence-telemetry "max move" of this
+    iteration, which goes to zero as the correction settles.  Moves round
+    half to even (``np.rint``, as ``round``).
     """
-    cursor = 0
+    missing = np.isnan(epes)
+    # No printed edge inside the search span.  For dark features (resist
+    # lines): "bright" means the feature vanished -> push the mask edge
+    # outward; "dark" means the space bridged -> pull inward.  For bright
+    # features (contact holes) the interpretation flips.
+    vanished_state = "dark" if recipe.bright_feature else "bright"
+    push = recipe.missing_edge_move_nm
+    # Positive EPE = printed edge outside target = pull mask in.
     clamp = recipe.max_move_per_iteration_nm
+    damped = np.rint(-recipe.damping * np.where(missing, 0.0, epes))
+    move = np.where(
+        missing,
+        np.where(states == vanished_state, push, -push),
+        np.clip(damped, -clamp, clamp),
+    ).astype(np.int64)
     total = recipe.max_total_move_nm
-    max_applied = 0
-    for loop_biases in biases:
-        for i in range(len(loop_biases)):
-            epe = epes[cursor]
-            state = states[cursor]
-            cursor += 1
-            if epe is None:
-                # No printed edge inside the search span.  For dark
-                # features (resist lines): "bright" means the feature
-                # vanished -> push the mask edge outward; "dark" means the
-                # space bridged -> pull inward.  For bright features
-                # (contact holes) the interpretation flips.
-                vanished_state = "dark" if recipe.bright_feature else "bright"
-                move = (
-                    recipe.missing_edge_move_nm
-                    if state == vanished_state
-                    else -recipe.missing_edge_move_nm
-                )
-            else:
-                # Positive EPE = printed edge outside target = pull mask in.
-                move = int(round(-recipe.damping * epe))
-                move = max(-clamp, min(clamp, move))
-            updated = max(-total, min(total, loop_biases[i] + move))
-            applied = abs(updated - loop_biases[i])
-            if applied > max_applied:
-                max_applied = applied
-            loop_biases[i] = updated
+    updated = np.clip(biases + move, -total, total)
+    max_applied = int(np.abs(updated - biases).max(initial=0))
+    biases[:] = updated
     return max_applied

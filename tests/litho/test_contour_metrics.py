@@ -9,6 +9,8 @@ from repro.litho import (
     Grid,
     cutline_cd,
     edge_offset,
+    edge_offset_state,
+    edge_offsets_batch,
     image_contrast,
     image_log_slope,
     meef,
@@ -73,6 +75,57 @@ class TestEdgeOffset:
     def test_zero_direction_rejected(self, grid):
         with pytest.raises(LithoError):
             edge_offset(np.zeros(grid.shape), grid, (0, 0), (0.0, 0.0), 0.5)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestProbeSpans:
+    """Bad probe spans fail with `LithoError` on the scalar and batch paths."""
+
+    SITES = [((40.0, 40.0), (1.0, 0.0)), ((70.0, 20.0), (0.0, -1.0))]
+
+    @pytest.mark.parametrize(
+        "search_nm, step_nm",
+        [(-3.0, 1.0), (NAN, 1.0), (INF, 1.0), (80.0, 0.0), (80.0, -1.0), (80.0, NAN), (80.0, INF)],
+    )
+    def test_scalar_and_batch_reject_the_same_span(self, grid, search_nm, step_nm):
+        image = np.random.default_rng(3).random(grid.shape)
+        with pytest.raises(LithoError):
+            edge_offset_state(
+                image, grid, *self.SITES[0], 0.5, search_nm=search_nm, step_nm=step_nm
+            )
+        with pytest.raises(LithoError):
+            edge_offsets_batch(
+                image, grid, self.SITES, 0.5, search_nm=search_nm, step_nm=step_nm
+            )
+        with pytest.raises(LithoError):
+            edge_offsets_batch(image, grid, [], 0.5, search_nm=search_nm, step_nm=step_nm)
+
+    def test_the_reported_span_reproducer(self):
+        grid = Grid(0, 0, 8.0, 16, 16)
+        with pytest.raises(LithoError, match="search_nm"):
+            edge_offset_state(np.zeros((16, 16)), grid, (40, 40), (1, 0), 0.5, search_nm=-3)
+        with pytest.raises(LithoError, match="search_nm"):
+            edge_offsets_batch(np.zeros((16, 16)), grid, [((40, 40), (1, 0))], 0.5, search_nm=-3)
+
+    @pytest.mark.parametrize(
+        "max_width_nm, step_nm", [(-4.0, 1.0), (NAN, 1.0), (INF, 1.0), (400.0, 0.0), (400.0, NAN)]
+    )
+    def test_cutline_rejects_bad_spans(self, grid, max_width_nm, step_nm):
+        with pytest.raises(LithoError):
+            cutline_cd(
+                np.zeros(grid.shape), grid, (320.0, 320.0), "x", 0.5,
+                max_width_nm=max_width_nm, step_nm=step_nm,
+            )
+
+    def test_zero_span_is_still_a_probe(self, grid):
+        image = np.full(grid.shape, 0.9)
+        assert edge_offset_state(image, grid, *self.SITES[0], 0.5, search_nm=0.0) == (
+            None,
+            "bright",
+        )
+        assert cutline_cd(image, grid, (320.0, 320.0), "x", 0.5, max_width_nm=0.0) is None
 
 
 class TestCutlineCD:

@@ -34,6 +34,13 @@ class TestGrid:
         with pytest.raises(LithoError):
             Grid(0, 0, 10, 1, 4)
 
+    @pytest.mark.parametrize("pixel_nm", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_pixels_fail_at_construction(self, pixel_nm):
+        with pytest.raises(LithoError, match="finite"):
+            Grid(0, 0, pixel_nm, 4, 4)
+        with pytest.raises(LithoError, match="finite"):
+            Grid.over_window(Rect(0, 0, 100, 100), pixel_nm)
+
     def test_sample_bilinear(self):
         grid = Grid(0, 0, 10, 4, 4)
         image = np.outer(np.arange(4), np.ones(4)).astype(float)  # rows 0..3

@@ -91,6 +91,29 @@ class TestRecipeHandling:
         with pytest.raises(OPCError):
             ModelOPCRecipe(epe_tolerance_nm=0).validated()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("epe_tolerance_nm", float("nan"), "EPE tolerance"),
+            ("epe_tolerance_nm", float("inf"), "EPE tolerance"),
+            ("epe_search_nm", -5.0, "EPE search"),
+            ("epe_search_nm", 0.0, "EPE search"),
+            ("epe_search_nm", float("nan"), "EPE search"),
+            ("epe_search_nm", float("inf"), "EPE search"),
+            ("missing_edge_move_nm", -6, "missing-edge move"),
+        ],
+    )
+    def test_recipe_validation_rejects_unusable_spans_and_moves(
+        self, simulator, iso_line, field, value, message
+    ):
+        """Direct `model_opc` callers run no preflight, so the recipe
+        itself must refuse what the loop cannot use."""
+        recipe = ModelOPCRecipe(**{field: value})
+        with pytest.raises(OPCError, match=message):
+            recipe.validated()
+        with pytest.raises(OPCError, match=message):
+            model_opc(iso_line, simulator, Rect(-600, -600, 800, 600), recipe)
+
     def test_single_iteration_runs(self, simulator, anchor_dose, iso_line):
         result = model_opc(
             iso_line,
