@@ -1,12 +1,16 @@
 """Edge fragmentation and per-fragment biasing -- the OPC substrate.
 
 Model-based OPC moves small pieces of polygon edges independently.  This
-module cuts every loop of a region into tagged :class:`Fragment` objects
-(corner pieces, line-end pieces, normal run pieces) and rebuilds a region
-from per-fragment biases, inserting jogs between fragments of the same edge
-and mitring true corners.  The rebuild is a few array passes over
-per-fragment arrays that a fragment set builds once, so an OPC loop that
-rebiases the same fragments every iteration pays for them once.
+module cuts every loop of a region into tagged fragments (corner pieces,
+line-end pieces, normal run pieces) and rebuilds a region from
+per-fragment biases, inserting jogs between fragments of the same edge
+and mitring true corners.  Fragmentation is one array pass over the
+loops' vertices, and a fragment set is held as per-fragment columns
+(:class:`FragmentLoops`) that rule OPC, retargeting, EPE sites and the
+rebuild read directly; :class:`Fragment` objects are built only for
+callers that ask for them.  The rebuild is a few array passes over
+arrays a fragment set builds once, so an OPC loop that rebiases the same
+fragments every iteration pays for them once.
 
 Loops follow the interior-left convention throughout (outer CCW, holes CW),
 so each fragment's outward normal is the right-hand normal of its direction
@@ -15,6 +19,7 @@ and a positive bias always moves material outward.
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -25,6 +30,7 @@ import numpy as np
 from ..errors import GeometryError
 from .booleans import LoopArray, union_runs
 from .point import Coord
+from .rect import Rect
 from .region import Region
 
 
@@ -35,6 +41,11 @@ class FragmentTag(Enum):
     CORNER_CONVEX = "corner_convex"
     CORNER_CONCAVE = "corner_concave"
     LINE_END = "line_end"
+
+
+#: The tags in code order: :attr:`FragmentLoops.tag` holds indices into it.
+TAGS: Tuple[FragmentTag, ...] = tuple(FragmentTag)
+_NORMAL, _CONVEX, _CONCAVE, _LINE_END = range(len(TAGS))
 
 
 @dataclass(frozen=True)
@@ -54,9 +65,9 @@ class Fragment:
     @property
     def direction(self) -> Coord:
         """Unit direction along the loop."""
-        dx = _sign(self.end[0] - self.start[0])
-        dy = _sign(self.end[1] - self.start[1])
-        return (dx, dy)
+        dx = self.end[0] - self.start[0]
+        dy = self.end[1] - self.start[1]
+        return ((dx > 0) - (dx < 0), (dy > 0) - (dy < 0))
 
     @property
     def normal(self) -> Coord:
@@ -94,7 +105,7 @@ class Fragment:
 
 @dataclass(frozen=True)
 class FragmentationSpec:
-    """Fragmentation recipe.
+    """Fragmentation recipe, all lengths in whole dbu.
 
     ``corner_length_nm``: length reserved next to each corner for a dedicated
     corner fragment.  ``max_length_nm``: maximum run-fragment length.
@@ -110,6 +121,14 @@ class FragmentationSpec:
 
     def validated(self) -> "FragmentationSpec":
         """Return self, raising :class:`GeometryError` on nonsense values."""
+        lengths = (
+            self.corner_length_nm,
+            self.max_length_nm,
+            self.min_length_nm,
+            self.line_end_max_nm,
+        )
+        if not all(isinstance(v, (int, np.integer)) for v in lengths):
+            raise GeometryError(f"fragmentation lengths must be whole dbu, got {lengths}")
         if min(self.corner_length_nm, self.max_length_nm, self.min_length_nm) <= 0:
             raise GeometryError("fragmentation lengths must be positive")
         if self.max_length_nm < self.min_length_nm:
@@ -117,98 +136,177 @@ class FragmentationSpec:
         return self
 
 
-class FragmentLoops(list):
-    """One fragment list per loop, as :func:`fragment_region` returns them.
+class FragmentLoops(SequenceABC):
+    """The fragments of every loop, as :func:`fragment_region` returns them.
 
-    A plain list that also keeps the per-fragment arrays
-    :func:`apply_biases` reads, built on its first call, so rebiasing
-    the same set costs no per-fragment Python.  Treat it as read-only.
+    Per-fragment columns, in loop order: ``start`` and ``end`` are
+    ``(n, 2)`` int64 points, ``tag`` int8 indices into :data:`TAGS`,
+    ``loop`` each fragment's loop and ``edge`` its edge's index in that
+    loop; ``counts`` holds each loop's fragment count.  As a sequence it is
+    one :class:`Fragment` list per loop, built on first access, so
+    iteration, indexing, slicing and ``len`` behave as a list of lists.
+    It also keeps the arrays :func:`apply_biases` builds on its first call.
+    Treat it as read-only.
     """
 
-    __slots__ = ("_arrays",)
+    __slots__ = ("counts", "start", "end", "tag", "loop", "edge", "_lists", "_arrays")
 
-    def __init__(self, loops: Sequence[List[Fragment]] = ()):
-        super().__init__(loops)
+    def __init__(
+        self,
+        counts: np.ndarray,
+        start: np.ndarray,
+        end: np.ndarray,
+        tag: np.ndarray,
+        loop: np.ndarray,
+        edge: np.ndarray,
+    ):
+        self.counts = counts
+        self.start = start
+        self.end = end
+        self.tag = tag
+        self.loop = loop
+        self.edge = edge
+        self._lists: Optional[List[List[Fragment]]] = None
         self._arrays: Optional[_FragmentArrays] = None
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, index):
+        return self._fragment_lists()[index]
+
+    def __iter__(self):
+        return iter(self._fragment_lists())
+
+    def _fragment_lists(self) -> List[List[Fragment]]:
+        if self._lists is None:
+            fragments = [
+                Fragment((x1, y1), (x2, y2), TAGS[tag], loop, edge)
+                for (x1, y1, x2, y2), tag, loop, edge in zip(
+                    np.hstack((self.start, self.end)).tolist(),
+                    self.tag.tolist(),
+                    self.loop.tolist(),
+                    self.edge.tolist(),
+                )
+            ]
+            stops = self.counts.cumsum().tolist()
+            self._lists = [
+                fragments[stop - count : stop]
+                for stop, count in zip(stops, self.counts.tolist())
+            ]
+        return self._lists
+
+    @property
+    def midpoint(self) -> np.ndarray:
+        """Each fragment's midpoint, floored to the grid: ``(n, 2)`` int64."""
+        return (self.start + self.end) // 2
+
+    @property
+    def normal(self) -> np.ndarray:
+        """Each fragment's unit outward normal: ``(n, 2)`` int64."""
+        return np.sign(self.end - self.start)[:, ::-1] * (1, -1)
+
+    def neighbours(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Each fragment's predecessor and successor in its loop, wrapping around."""
+        return _neighbours(self.counts)
+
+    def tagged(self, *tags: FragmentTag) -> np.ndarray:
+        """Whether each fragment carries one of ``tags``."""
+        return np.isin(self.tag, [TAGS.index(tag) for tag in tags])
+
+    def tags(self, index: np.ndarray) -> List[FragmentTag]:
+        """The tags of the fragments at ``index``."""
+        return [TAGS[code] for code in self.tag[index].tolist()]
+
+    def in_window(self, window: Rect) -> np.ndarray:
+        """Whether each fragment's midpoint lies in ``window``, boundary included."""
+        x, y = self.midpoint.T
+        return (window.x1 <= x) & (x <= window.x2) & (window.y1 <= y) & (y <= window.y2)
+
+    def sites(self, index=slice(None)) -> List[Tuple[Coord, Coord]]:
+        """``(midpoint, outward normal)`` of the fragments at ``index``, in ints."""
+        return list(
+            zip(
+                map(tuple, self.midpoint[index].tolist()),
+                map(tuple, self.normal[index].tolist()),
+            )
+        )
 
 
 def fragment_region(region: Region, spec: FragmentationSpec) -> FragmentLoops:
     """Fragment every loop of the canonical form of ``region``.
 
     Returns one fragment list per loop, in loop order, covering each loop's
-    boundary exactly once.
+    boundary exactly once.  An edge no longer than ``line_end_max_nm``
+    between two convex corners is one line-end fragment; an edge shorter
+    than ``2 * corner_length_nm + min_length_nm`` is one normal fragment.
+    Any other edge gets a corner fragment of ``corner_length_nm`` at each
+    end, tagged by that corner's convexity, and its interior ``run`` is cut
+    at ``corner_length_nm + (run * k) // chunks`` for ``k = 1 .. chunks``,
+    the fewest chunks no longer than ``max_length_nm``.  One array pass
+    does every loop.
     """
     spec = spec.validated()
+    corner = spec.corner_length_nm
+    loops = region.merged()._loops
+    sizes = np.fromiter(map(len, loops), dtype=np.intp, count=len(loops))
+    vertex = np.fromiter(
+        chain.from_iterable(chain.from_iterable(loops)),
+        dtype=np.int64,
+        count=2 * int(sizes.sum()),
+    ).reshape(-1, 2)
+    # Edge i runs from vertex i to its successor in its loop.
+    pred, succ = _neighbours(sizes)
+    delta = vertex[succ] - vertex
+    step = np.sign(delta)
+    length = np.abs(delta).sum(axis=1)
+    # A left turn is convex (interior-left).  Canonical edges are axis
+    # parallel, so the cross product of two unit steps has the sign of the
+    # edges' own, and cannot overflow.
+    step_in = step[pred]
+    convex = step_in[:, 0] * step[:, 1] - step_in[:, 1] * step[:, 0] > 0
+    line_end = (length <= spec.line_end_max_nm) & convex & convex[succ]
+    whole = line_end | (length < 2 * corner + spec.min_length_nm)
+    run = length - 2 * corner
+    chunks = np.where(whole, 1, -(-run // spec.max_length_nm))
+    pieces = np.where(whole, 1, chunks + 2)
+
+    edge = np.repeat(np.arange(len(vertex)), pieces)
+    k = np.arange(len(edge)) - np.repeat(pieces.cumsum() - pieces, pieces)
+    last = k == pieces[edge] - 1
+    # Piece k of an edge runs from offset lo to offset hi along it: from
+    # the cut before it to the next piece's start, or to the edge's end.
+    lo = np.where(k == 0, 0, corner + (run[edge] * (k - 1)) // chunks[edge])
+    hi = np.where(last, length[edge], np.roll(lo, -1))
+    origin, along = vertex[edge], step[edge]
+
+    corner_tag = np.where(convex, _CONVEX, _CONCAVE)
+    split = ~whole[edge]
+    tag = np.where(line_end, _LINE_END, _NORMAL)[edge]
+    tag = np.where(split & (k == 0), corner_tag[edge], tag)
+    tag = np.where(split & last, corner_tag[succ][edge], tag)
+    loop_of = np.repeat(np.arange(len(sizes)), sizes)
+    first = np.repeat(sizes.cumsum() - sizes, sizes)
     return FragmentLoops(
-        [
-            _fragment_loop(loop, loop_index, spec)
-            for loop_index, loop in enumerate(region.merged().loops)
-        ]
+        counts=np.bincount(loop_of[edge], minlength=len(sizes)),
+        start=origin + along * lo[:, None],
+        end=origin + along * hi[:, None],
+        tag=tag.astype(np.int8),
+        loop=loop_of[edge],
+        edge=edge - first[edge],
     )
 
 
-def _fragment_loop(
-    loop: Sequence[Coord], loop_index: int, spec: FragmentationSpec
-) -> List[Fragment]:
-    n = len(loop)
-    convex = [_is_convex(loop[i - 1], loop[i], loop[(i + 1) % n]) for i in range(n)]
-    fragments: List[Fragment] = []
-    for i in range(n):
-        start = loop[i]
-        end = loop[(i + 1) % n]
-        start_convex = convex[i]
-        end_convex = convex[(i + 1) % n]
-        fragments.extend(
-            _fragment_edge(start, end, start_convex, end_convex, loop_index, i, spec)
-        )
-    return fragments
-
-
-def _fragment_edge(
-    start: Coord,
-    end: Coord,
-    start_convex: bool,
-    end_convex: bool,
-    loop_index: int,
-    edge_index: int,
-    spec: FragmentationSpec,
-) -> List[Fragment]:
-    length = abs(end[0] - start[0]) + abs(end[1] - start[1])
-
-    def frag(a: Coord, b: Coord, tag: FragmentTag) -> Fragment:
-        return Fragment(a, b, tag, loop_index, edge_index)
-
-    if length <= spec.line_end_max_nm and start_convex and end_convex:
-        return [frag(start, end, FragmentTag.LINE_END)]
-    if length < 2 * spec.corner_length_nm + spec.min_length_nm:
-        return [frag(start, end, FragmentTag.NORMAL)]
-
-    pieces: List[Fragment] = []
-    head = _along(start, end, spec.corner_length_nm)
-    tail = _along(end, start, spec.corner_length_nm)
-    pieces.append(
-        frag(
-            start,
-            head,
-            FragmentTag.CORNER_CONVEX if start_convex else FragmentTag.CORNER_CONCAVE,
-        )
-    )
-    # Split the interior run into near-equal chunks no longer than max_length_nm.
-    run = length - 2 * spec.corner_length_nm
-    chunks = max(1, -(-run // spec.max_length_nm))
-    cursor = head
-    for k in range(1, chunks + 1):
-        nxt = _along(head, tail, (run * k) // chunks)
-        pieces.append(frag(cursor, nxt, FragmentTag.NORMAL))
-        cursor = nxt
-    pieces.append(
-        frag(
-            tail,
-            end,
-            FragmentTag.CORNER_CONVEX if end_convex else FragmentTag.CORNER_CONCAVE,
-        )
-    )
-    return pieces
+def _neighbours(sizes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each item's predecessor and successor in its loop, wrapping around;
+    loop ``k`` is the next ``sizes[k]`` items."""
+    live = sizes[sizes > 0]
+    ends = live.cumsum()
+    succ = np.arange(1, int(sizes.sum()) + 1)
+    succ[ends - 1] = ends - live
+    pred = np.empty_like(succ)
+    pred[succ] = np.arange(len(succ))
+    return pred, succ
 
 
 class _FragmentArrays(NamedTuple):
@@ -234,23 +332,29 @@ class _FragmentArrays(NamedTuple):
 
 
 def _fragment_arrays(loop_fragments: Sequence[Sequence[Fragment]]) -> _FragmentArrays:
-    """The flat arrays of ``loop_fragments``, memoised on a :class:`FragmentLoops`."""
-    if isinstance(loop_fragments, FragmentLoops) and loop_fragments._arrays is not None:
+    """The flat arrays of ``loop_fragments``: a :class:`FragmentLoops`' columns,
+    memoised on it, or any per-loop lists of :class:`Fragment`."""
+    if isinstance(loop_fragments, FragmentLoops):
+        if loop_fragments._arrays is None:
+            loop_fragments._arrays = _rebuild_arrays(
+                loop_fragments.counts, loop_fragments.start, loop_fragments.end
+            )
         return loop_fragments._arrays
     counts = np.fromiter(map(len, loop_fragments), dtype=np.intp, count=len(loop_fragments))
     ends = np.array(
         [f.start + f.end for f in chain.from_iterable(loop_fragments)], dtype=np.int64
     ).reshape(-1, 2, 2)
-    start, end = ends[:, 0], ends[:, 1]
+    return _rebuild_arrays(counts, ends[:, 0], ends[:, 1])
+
+
+def _rebuild_arrays(counts: np.ndarray, start: np.ndarray, end: np.ndarray) -> _FragmentArrays:
     direction = np.sign(end - start)
-    live = counts[counts > 0]
-    first = live.cumsum() - live
-    succ = np.arange(1, len(start) + 1)
-    succ[first + live - 1] = first
+    _, succ = _neighbours(counts)
     same = (direction == direction[succ]).all(axis=1)
+    live = counts[counts > 0]
     opens = np.zeros(len(start), dtype=bool)
-    opens[first] = True
-    arrays = _FragmentArrays(
+    opens[live.cumsum() - live] = True
+    return _FragmentArrays(
         counts=counts,
         start=start,
         end=end,
@@ -259,9 +363,6 @@ def _fragment_arrays(loop_fragments: Sequence[Sequence[Fragment]]) -> _FragmentA
         keeps_end=same[:, None] | (direction == 0),
         opens=opens,
     )
-    if isinstance(loop_fragments, FragmentLoops):
-        loop_fragments._arrays = arrays
-    return arrays
 
 
 def apply_biases(
@@ -270,12 +371,14 @@ def apply_biases(
 ) -> Region:
     """Rebuild a region from fragments moved outward by per-fragment biases.
 
-    ``biases[i][j]`` moves fragment ``j`` of loop ``i`` outward by that many
-    dbu (negative values move material inward); ``biases`` may also be one
-    flat integer vector over all fragments in loop order.  Jogs connect
-    collinear neighbours with different biases; perpendicular neighbours
-    are mitred.  Any self-intersection created by large negative biases is
-    resolved by a nonzero-winding merge.
+    ``loop_fragments`` is a :class:`FragmentLoops`, whose columns are read
+    directly, or any per-loop lists of :class:`Fragment` (such as a slice
+    of one).  ``biases[i][j]`` moves fragment ``j`` of loop ``i`` outward
+    by that many dbu (negative values move material inward); ``biases``
+    may also be one flat integer vector over all fragments in loop order.
+    Jogs connect collinear neighbours with different biases; perpendicular
+    neighbours are mitred.  Any self-intersection created by large
+    negative biases is resolved by a nonzero-winding merge.
 
     Each loop's points are those of walking its fragments in order: the
     moved start (unless it repeats the point before it), then the moved
@@ -310,25 +413,3 @@ def _flat_biases(
     if any(len(b) != c for b, c in zip(biases, counts.tolist())):
         raise GeometryError("bias count must match fragment count")
     return np.fromiter(chain.from_iterable(biases), dtype=np.int64, count=int(counts.sum()))
-
-
-def _is_convex(prev: Coord, cur: Coord, nxt: Coord) -> bool:
-    """True when the corner at ``cur`` juts outward (left turn, interior-left)."""
-    ax, ay = cur[0] - prev[0], cur[1] - prev[1]
-    bx, by = nxt[0] - cur[0], nxt[1] - cur[1]
-    return ax * by - ay * bx > 0
-
-
-def _along(start: Coord, end: Coord, distance: int) -> Coord:
-    """The point ``distance`` dbu from ``start`` toward ``end``."""
-    dx = _sign(end[0] - start[0])
-    dy = _sign(end[1] - start[1])
-    return (start[0] + dx * distance, start[1] + dy * distance)
-
-
-def _sign(v: int) -> int:
-    if v > 0:
-        return 1
-    if v < 0:
-        return -1
-    return 0

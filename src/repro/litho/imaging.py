@@ -24,7 +24,7 @@ transmission, so an all-clear mask images to intensity 1.0.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -35,7 +35,7 @@ from .kernel_cache import KernelSet, KernelStore, kernel_fingerprint
 from .masks import MaskSpec
 from .optics import OpticalSettings
 from .pupil import Aberrations, Pupil
-from .raster import Grid
+from .raster import Grid, distinct_bins
 from .resist import Transfer
 
 
@@ -97,6 +97,7 @@ class SOCSEngine:
         self.eigen_cutoff = eigen_cutoff
         self.kernel_store = kernel_store
         self._cache: Dict[Tuple[int, int, float, float], KernelSet] = {}
+        self._layouts: Dict[Tuple[int, int, float, float], _Layout] = {}
 
     def image(
         self,
@@ -108,7 +109,7 @@ class SOCSEngine:
         """Aerial-image intensity of ``mask`` on ``grid``, blurred by ``blur``.
 
         ``mask`` is a :class:`MaskSpec`, whose spectrum at the kernel
-        support comes from :meth:`MaskSpec.spectrum`, or a complex field
+        support comes from :meth:`MaskSpec.spectrum_block`, or a complex field
         array of the grid's shape, which takes a full FFT.  ``blur`` is a
         transfer pair (:meth:`~repro.litho.resist.ThresholdResist.transfer`)
         multiplied into the upsampled band, so the image comes back
@@ -116,26 +117,27 @@ class SOCSEngine:
         """
         if isinstance(mask, np.ndarray) and mask.shape != grid.shape:
             raise LithoError(f"mask shape {mask.shape} != grid shape {grid.shape}")
-        kernels = self.kernel_set(grid, defocus_nm)
-        support = (kernels.support_iy, kernels.support_ix)
+        layout = self._layout(grid, defocus_nm)
+        kernels = layout.kernels
         if isinstance(mask, MaskSpec):
-            support_values = mask.spectrum(grid, *support)
+            ky, row, kx, col = layout.bins
+            support_values = mask.spectrum_block(grid, ky, kx)[row, col]
         else:
-            support_values = np.fft.fft2(mask)[support]
+            support_values = np.fft.fft2(mask)[kernels.support_iy, kernels.support_ix]
         # A kernel field whose spectrum lies within +-K bins has an
         # intensity within +-2K bins, which 4K+1 samples per axis hold
         # without aliasing.  So every field is evaluated on that coarse
         # grid, and the summed intensity is Fourier-upsampled once.
-        my, half_y, iy = _band(kernels.support_iy, grid.ny)
-        mx, half_x, ix = _band(kernels.support_ix, grid.nx)
+        my, half_y, _ = layout.band_y
+        mx, half_x, ix = layout.band_x
         # The inverse FFT of the fields, one axis at a time as ``ifft2``
         # runs it: along x on the support's rows only, the other rows
         # being all zero, then along y.  numpy transforms each line on its
         # own, so the fields equal ``ifft2`` of the full coarse grid bit
         # for bit.
-        rows, row = np.unique(iy, return_inverse=True)
+        rows, coarse_row = layout.rows
         lines = np.zeros((len(kernels.eigenvalues), len(rows), mx), dtype=complex)
-        lines[:, row, ix] = kernels.eigenvectors * support_values
+        lines[:, coarse_row, ix] = kernels.eigenvectors * support_values
         fields = np.zeros((len(kernels.eigenvalues), my, mx), dtype=complex)
         fields[:, rows] = np.fft.ifft(lines, axis=2)
         fields = np.fft.ifft(fields, axis=1)
@@ -184,6 +186,22 @@ class SOCSEngine:
             kernels = self._build(grid, defocus_nm)
         self._cache[key] = kernels
         return kernels
+
+    def _layout(self, grid: Grid, defocus_nm: float) -> "_Layout":
+        """:meth:`kernel_set` with its layout on ``grid``, built once per kernel set."""
+        kernels = self.kernel_set(grid, defocus_nm)
+        key = (grid.ny, grid.nx, float(grid.pixel_nm), float(defocus_nm))
+        layout = self._layouts.get(key)
+        if layout is None or layout.kernels is not kernels:
+            band_y = _band(kernels.support_iy, grid.ny)
+            layout = self._layouts[key] = _Layout(
+                kernels,
+                distinct_bins(kernels.support_iy, kernels.support_ix),
+                band_y,
+                _band(kernels.support_ix, grid.nx),
+                np.unique(band_y[2], return_inverse=True),
+            )
+        return layout
 
     def fingerprint(self, grid: Grid, defocus_nm: float) -> str:
         """The persistent-cache key of this engine's kernels on ``grid``."""
@@ -239,6 +257,20 @@ class SOCSEngine:
             support_ix=support_ix,
             truncation_energy=float(kept.sum()) / total,
         )
+
+
+class _Layout(NamedTuple):
+    """What :meth:`SOCSEngine.image` reads of a kernel set besides its
+    kernels, which depends only on the kernel set and its grid."""
+
+    kernels: KernelSet
+    #: The support's distinct rows and columns (``raster.distinct_bins``).
+    bins: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    #: :func:`_band` of each axis.
+    band_y: Tuple[int, int, np.ndarray]
+    band_x: Tuple[int, int, np.ndarray]
+    #: The support's distinct coarse rows, and each bin's index into them.
+    rows: Tuple[np.ndarray, np.ndarray]
 
 
 def _band(index: np.ndarray, n: int) -> Tuple[int, int, np.ndarray]:

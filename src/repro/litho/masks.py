@@ -4,7 +4,7 @@ A :class:`MaskSpec` is a background transmission plus an ordered list of
 *paints* -- (region, complex transmission) pairs applied with overwrite
 semantics.  Rasterising the spec yields the complex mask field; the SOCS
 engine reads only the field's spectrum at its kernel support, which
-:meth:`MaskSpec.spectrum` takes from the geometry.  Helper constructors
+:meth:`MaskSpec.spectrum_block` takes from the geometry.  Helper constructors
 build the three mask technologies of the 2001 RET toolbox from layout
 regions.
 """
@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import LithoError
 from ..geometry import Region
-from .raster import Grid, coverage_spectrum, rasterize
+from .raster import Grid, coverage_block, distinct_bins, rasterize
 
 #: Nominal intensity transmission of attenuated-PSM absorber (6 percent MoSi).
 ATTPSM_TRANSMISSION = 0.06
@@ -50,23 +50,33 @@ class MaskSpec:
     def spectrum(self, grid: Grid, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
         """``fft2(self.field(grid))[iy, ix]``: the field's DFT at bins ``(iy, ix)``.
 
-        With one non-empty paint the field is ``background + (t -
-        background) * coverage``, linear in the coverage, so its spectrum
-        comes from :func:`~repro.litho.raster.coverage_spectrum` with no
-        raster.  Overwrite paints that share a partly covered pixel do not
-        add linearly, so a mask with two or more non-empty paints takes
-        the raster and a full FFT.
+        :meth:`spectrum_block` at the bins' distinct rows and columns,
+        gathered.
+        """
+        ky, row, kx, col = distinct_bins(iy, ix)
+        return self.spectrum_block(grid, ky, kx)[row, col]
+
+    def spectrum_block(self, grid: Grid, ky: np.ndarray, kx: np.ndarray) -> np.ndarray:
+        """``fft2(self.field(grid))`` on rows ``ky`` and columns ``kx``.
+
+        Returns the ``(len(ky), len(kx))`` block.  With one non-empty paint
+        the field is ``background + (t - background) * coverage``, linear in
+        the coverage, so its spectrum comes from
+        :func:`~repro.litho.raster.coverage_block` with no raster.
+        Overwrite paints that share a partly covered pixel do not add
+        linearly, so a mask with two or more non-empty paints takes the
+        raster and a full FFT.
         """
         painted = [(region, t) for region, t in self.paints if not region.is_empty]
         if len(painted) > 1:
-            return np.fft.fft2(self.field(grid))[iy, ix]
+            return np.fft.fft2(self.field(grid))[np.ix_(ky, kx)]
         values = np.where(
-            (iy == 0) & (ix == 0), self.background * (grid.nx * grid.ny), 0j
+            (ky == 0)[:, None] & (kx == 0), self.background * (grid.nx * grid.ny), 0j
         )
         if painted:
             region, transmission = painted[0]
-            values += (transmission - self.background) * coverage_spectrum(
-                region, grid, iy, ix
+            values += (transmission - self.background) * coverage_block(
+                region, grid, ky, kx
             )
         return values
 

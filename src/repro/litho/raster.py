@@ -131,27 +131,46 @@ def coverage_spectrum(
 ) -> np.ndarray:
     """``fft2(rasterize(region, grid))[iy, ix]``, computed from the rects.
 
-    The rects are :meth:`~repro.geometry.region.Region.rect_array`, which
-    a fragment-biased OPC iterate already holds.  A rect's exact coverage
-    is the outer product of two per-axis coverage vectors, so its DFT is
-    the product of their 1-D DFTs, each a closed form over the covered
-    pixel interval.  The rects' per-axis sums are
-    taken at the distinct bins of ``iy`` and ``ix`` only, and their
-    products summed and gathered, so no raster or full-grid FFT is made.
-    Intervals are clamped to the grid's ``[0, n]`` pixels, which clips
-    exactly as :func:`rasterize` does.
+    :func:`coverage_block` at the bins' distinct rows and columns,
+    gathered; no raster or full-grid FFT is made.
+    """
+    ky, row, kx, col = distinct_bins(iy, ix)
+    return coverage_block(region, grid, ky, kx)[row, col]
+
+
+def distinct_bins(
+    iy: np.ndarray, ix: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(ky, row, kx, col)``: the distinct rows and columns of the DFT bins
+    ``(iy, ix)``, with ``ky[row] == iy`` and ``kx[col] == ix``."""
+    ky, row = np.unique(iy, return_inverse=True)
+    kx, col = np.unique(ix, return_inverse=True)
+    return ky, row, kx, col
+
+
+def coverage_block(
+    region: Region, grid: Grid, ky: np.ndarray, kx: np.ndarray
+) -> np.ndarray:
+    """``fft2(rasterize(region, grid))`` on rows ``ky`` and columns ``kx``.
+
+    Returns the ``(len(ky), len(kx))`` block.  The rects are
+    :meth:`~repro.geometry.region.Region.rect_array`, which a
+    fragment-biased OPC iterate already holds.  A rect's exact coverage is
+    the outer product of two per-axis coverage vectors, so its DFT is the
+    product of their 1-D DFTs, each a closed form over the covered pixel
+    interval: the rects' per-axis sums are taken at ``ky`` and ``kx`` and
+    their products summed.  Intervals are clamped to the grid's ``[0, n]``
+    pixels, which clips exactly as :func:`rasterize` does.
     """
     boxes = region.rect_array().astype(float)
     p = grid.pixel_nm
     xs = np.clip((boxes[:, 0::2] - grid.x0) / p, 0.0, grid.nx)
     ys = np.clip((boxes[:, 1::2] - grid.y0) / p, 0.0, grid.ny)
-    ky, row = np.unique(iy, return_inverse=True)
-    kx, col = np.unique(ix, return_inverse=True)
     cy = _interval_dft(ys[:, 0], ys[:, 1], ky, grid.ny)
     cx = _interval_dft(xs[:, 0], xs[:, 1], kx, grid.nx)
     # einsum, not ``cy.T @ cx``: BLAS would fan this small product out
     # over threads that a process pool's workers already occupy.
-    return np.einsum("ry,rx->yx", cy, cx)[row, col]
+    return np.einsum("ry,rx->yx", cy, cx)
 
 
 def _interval_dft(lo: np.ndarray, hi: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:

@@ -19,13 +19,14 @@ import numpy as np
 
 from ..errors import OPCError
 from ..geometry import (
-    Fragment,
+    Coord,
     FragmentationSpec,
     Rect,
     Region,
     apply_biases,
     fragment_region,
 )
+from ..geometry.fragment import FragmentLoops
 from ..litho import LithoSimulator, MaskSpec, binary_mask
 from ..obs import (
     count as _obs_count,
@@ -231,26 +232,17 @@ def model_opc(
 
 
 def _control_sites(
-    loops: Sequence[Sequence[Fragment]], window: Rect
-) -> Tuple[
-    List[Tuple[Tuple[float, float], Tuple[float, float]]], np.ndarray
-]:
+    loops: FragmentLoops, window: Rect
+) -> Tuple[List[Tuple[Coord, Coord]], np.ndarray]:
     """One (anchor, outward-normal) EPE site per fragment, on the target edge.
 
-    Returns all sites plus the indices of *active* sites -- those inside the
-    correction window.  Fragments outside the window (context geometry that
-    extends past the simulation grid) stay at zero bias and are not
-    measured.
+    Returns all sites plus the indices of *active* sites -- those whose
+    anchor, the fragment's midpoint, lies inside the correction window,
+    its boundary included.  Fragments outside the window (context
+    geometry that extends past the simulation grid) stay at zero bias and
+    are not measured.
     """
-    sites = []
-    active: List[int] = []
-    for fragments in loops:
-        for fragment in fragments:
-            anchor = fragment.control_point()
-            if window.contains(anchor):
-                active.append(len(sites))
-            sites.append((anchor, fragment.normal))
-    return sites, np.array(active, dtype=np.intp)
+    return loops.sites(), np.flatnonzero(loops.in_window(window))
 
 
 def _combine_corners(

@@ -10,8 +10,6 @@ rule-based retargeting using the same measurement machinery as rule OPC.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import List
 
 import numpy as np
 
@@ -61,25 +59,18 @@ def retarget(target: Region, rules: RetargetRules) -> Region:
     if merged.is_empty:
         return merged
     loops = fragment_region(merged, RETARGET_FRAGMENTATION)
-    flat = [fragment for fragments in loops for fragment in fragments]
-    midpoints = np.array([f.midpoint for f in flat])
-    normals = np.array([f.normal for f in flat])
+    midpoints, normals = loops.midpoint, loops.normal
     # Space outward, then width inward, for every fragment in one query.
-    found = EdgeIndex(merged).ray_distances(
-        np.vstack((midpoints, midpoints)),
-        np.vstack((normals, -normals)),
-        rules.measure_range_nm,
-    ).tolist()
-    measured = zip(found[: len(flat)], found[len(flat) :])
-    biases: List[List[int]] = []
-    for fragments in loops:
-        loop_biases = []
-        for space, width in islice(measured, len(fragments)):
-            bias = 0
-            if space != EdgeIndex.NO_HIT and space < rules.min_space_nm:
-                bias = -((rules.min_space_nm - space + 1) // 2)
-            if width != EdgeIndex.NO_HIT and width < rules.min_width_nm:
-                bias = (rules.min_width_nm - width + 1) // 2
-            loop_biases.append(bias)
-        biases.append(loop_biases)
+    space, width = np.split(
+        EdgeIndex(merged).ray_distances(
+            np.vstack((midpoints, midpoints)),
+            np.vstack((normals, -normals)),
+            rules.measure_range_nm,
+        ),
+        2,
+    )
+    narrow_space = (space != EdgeIndex.NO_HIT) & (space < rules.min_space_nm)
+    narrow_width = (width != EdgeIndex.NO_HIT) & (width < rules.min_width_nm)
+    biases = np.where(narrow_space, -((rules.min_space_nm - space + 1) // 2), 0)
+    biases = np.where(narrow_width, (rules.min_width_nm - width + 1) // 2, biases)
     return apply_biases(loops, biases)

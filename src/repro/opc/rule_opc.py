@@ -14,8 +14,9 @@ never saw get the wrong correction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import List
+
+import numpy as np
 
 from ..errors import OPCError
 from ..geometry import (
@@ -49,7 +50,10 @@ class RuleOPCRecipe:
 
     def validated(self) -> "RuleOPCRecipe":
         """Return self, raising :class:`OPCError` on nonsense values."""
-        if self.line_end_extension_nm < 0 or self.hammerhead_extra_nm < 0:
+        line_end = (self.line_end_extension_nm, self.hammerhead_extra_nm)
+        if not all(isinstance(v, (int, np.integer)) for v in line_end):
+            raise OPCError(f"line-end corrections must be whole dbu, got {line_end}")
+        if min(line_end) < 0:
             raise OPCError("line-end corrections must be non-negative")
         if self.serif_size_nm < 0:
             raise OPCError("serif size must be non-negative")
@@ -59,40 +63,37 @@ class RuleOPCRecipe:
 
 
 def rule_opc(target: Region, recipe: RuleOPCRecipe = RuleOPCRecipe()) -> OPCResult:
-    """Apply rule-based OPC to ``target``; returns the corrected geometry."""
+    """Apply rule-based OPC to ``target``; returns the corrected geometry.
+
+    Every fragment takes the table bias of the space its midpoint faces
+    along its outward normal (isolated when nothing lies within
+    ``measure_range_nm``); line ends add the extension, and each
+    neighbour of a line end in its loop the hammerhead extra, once per
+    line end it borders.
+    """
     recipe = recipe.validated()
     merged = target.merged()
     if merged.is_empty:
         return OPCResult(target=merged, corrected=merged)
     loops = fragment_region(merged, recipe.fragmentation)
-    flat = [fragment for fragments in loops for fragment in fragments]
-    distances = EdgeIndex(merged).ray_distances(
-        [f.midpoint for f in flat], [f.normal for f in flat], recipe.measure_range_nm
+    spaces = EdgeIndex(merged).ray_distances(
+        loops.midpoint, loops.normal, recipe.measure_range_nm
     )
-    spaces = iter(distances.tolist())
-    biases: List[List[int]] = []
-    for fragments in loops:
-        loop_biases = [
-            recipe.bias_table.bias_for(None if space == EdgeIndex.NO_HIT else space)
-            for space in islice(spaces, len(fragments))
-        ]
-        line_end_slots = [
-            i for i, f in enumerate(fragments) if f.tag == FragmentTag.LINE_END
-        ]
-        for i in line_end_slots:
-            loop_biases[i] += recipe.line_end_extension_nm
-            if recipe.hammerhead_extra_nm:
-                n = len(fragments)
-                loop_biases[(i - 1) % n] += recipe.hammerhead_extra_nm
-                loop_biases[(i + 1) % n] += recipe.hammerhead_extra_nm
-        biases.append(loop_biases)
+    biases = recipe.bias_table.biases_for(spaces)
+    line_ends = np.flatnonzero(loops.tagged(FragmentTag.LINE_END))
+    biases[line_ends] += recipe.line_end_extension_nm
+    if recipe.hammerhead_extra_nm:
+        # Predecessors, then successors: each is a permutation, so a
+        # fragment between two line ends gets the extra once per pass.
+        for neighbour in loops.neighbours():
+            biases[neighbour[line_ends]] += recipe.hammerhead_extra_nm
     corrected = apply_biases(loops, biases)
     if recipe.serif_size_nm:
         corrected = add_serifs(corrected, recipe.serif_size_nm)
     return OPCResult(
         target=merged,
         corrected=corrected,
-        fragment_count=sum(len(f) for f in loops),
+        fragment_count=len(biases),
     )
 
 

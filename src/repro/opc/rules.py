@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import OPCError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,25 +36,39 @@ class BiasTable:
     Rules are sorted by ``space_below_nm``; an edge with measured space ``s``
     receives the bias of the first rule with ``s < space_below_nm``.  Edges
     facing nothing (isolated) match the last rule when its bound is
-    :data:`ISOLATED`.
+    :data:`ISOLATED`.  Bounds and biases are whole dbu.
     """
 
     def __init__(self, rules: Sequence[BiasRule]):
         if not rules:
             raise OPCError("bias table needs at least one rule")
+        for rule in rules:
+            if not all(
+                isinstance(v, (int, np.integer)) for v in (rule.space_below_nm, rule.bias_nm)
+            ):
+                raise OPCError(f"bias table bounds and biases must be whole dbu, got {rule}")
         ordered = sorted(rules, key=lambda r: r.space_below_nm)
         bounds = [r.space_below_nm for r in ordered]
         if len(set(bounds)) != len(bounds):
             raise OPCError("bias table bins must have distinct bounds")
         self.rules: Tuple[BiasRule, ...] = tuple(ordered)
+        self._bounds = np.array(bounds, dtype=np.int64)
+        self._biases = np.array([r.bias_nm for r in ordered], dtype=np.int64)
+
+    def biases_for(self, spaces: np.ndarray) -> np.ndarray:
+        """The bias of the bin containing each space, as an int64 array.
+
+        A negative space (such as :attr:`~repro.geometry.EdgeIndex.NO_HIT`)
+        marks an isolated edge.  One ``searchsorted`` over the bin bounds.
+        """
+        spaces = np.asarray(spaces, dtype=np.int64)
+        effective = np.where(spaces < 0, ISOLATED - 1, spaces)
+        index = np.searchsorted(self._bounds, effective, side="right")
+        return self._biases[np.minimum(index, len(self._biases) - 1)]
 
     def bias_for(self, space: Optional[int]) -> int:
         """The bias of the bin containing ``space`` (``None`` = isolated)."""
-        effective = ISOLATED - 1 if space is None else space
-        for rule in self.rules:
-            if effective < rule.space_below_nm:
-                return rule.bias_nm
-        return self.rules[-1].bias_nm
+        return int(self.biases_for(np.array([-1 if space is None else space]))[0])
 
     def __len__(self) -> int:
         return len(self.rules)

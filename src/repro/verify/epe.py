@@ -12,13 +12,14 @@ hotspot diagnostics (:mod:`repro.obs.spatial`) attribute, rank and render.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import VerificationError
 from ..geometry import FragmentationSpec, FragmentTag, Rect, Region, fragment_region
+from ..geometry.fragment import FragmentLoops
 from ..litho import Grid, LithoSimulator, MaskSpec, edge_offsets_batch
 
 #: Fragmentation used for verification sites (finer than correction).
@@ -158,14 +159,27 @@ def epe_sites_tagged(
     Tags let reports separate run/line-end EPE (what OPC must fix) from
     corner EPE (where rounding is physical and tolerances are relaxed).
     """
-    sites: List[Tuple[Site, FragmentTag]] = []
-    for fragments in fragment_region(target, spec):
-        for fragment in fragments:
-            anchor = fragment.control_point()
-            if window is not None and not window.contains(anchor):
-                continue
-            sites.append(((anchor, fragment.normal), fragment.tag))
-    return sites
+    loops, index = _measured_fragments(target, window, spec, include_corners=True)
+    return list(zip(loops.sites(index), loops.tags(index)))
+
+
+def _measured_fragments(
+    target: Region,
+    window: Optional[Rect],
+    spec: FragmentationSpec,
+    include_corners: bool,
+) -> Tuple[FragmentLoops, np.ndarray]:
+    """``target``'s fragments and the indices of those measured, in order.
+
+    A fragment is measured when its site, the midpoint, lies in ``window``
+    (boundary included; every site when ``window`` is None), and, unless
+    ``include_corners``, when it is no corner piece.
+    """
+    loops = fragment_region(target, spec)
+    keep = np.ones(len(loops.tag), dtype=bool) if window is None else loops.in_window(window)
+    if not include_corners:
+        keep &= ~loops.tagged(*_CORNER_TAGS)
+    return loops, np.flatnonzero(keep)
 
 
 def measure_epe(
@@ -218,41 +232,42 @@ def measure_epe_sites(
     over ``window`` at ``defocus_nm``, when the caller already has it (ORC
     develops the same image); otherwise it is computed here.
     """
-    sites: List[EPESite] = []
-    for loop_index, fragments in enumerate(fragment_region(target, spec)):
-        for fragment_index, fragment in enumerate(fragments):
-            anchor = fragment.control_point()
-            if window is not None and not window.contains(anchor):
-                continue
-            if not include_corners and fragment.tag in _CORNER_TAGS:
-                continue
-            sites.append(
-                EPESite(
-                    x=anchor[0],
-                    y=anchor[1],
-                    normal=fragment.normal,
-                    tag=fragment.tag.value,
-                    loop_index=loop_index,
-                    fragment_index=fragment_index,
-                )
-            )
-    if not sites:
+    loops, index = _measured_fragments(target, window, spec, include_corners)
+    if not len(index):
         raise VerificationError("target has no measurable edges inside the window")
     grid, image = (
         simulator.latent_image(mask, window, defocus_nm)
         if latent is None
         else latent
     )
+    anchored = loops.sites(index)
     measured = edge_offsets_batch(
         image,
         grid,
-        [(site.anchor, site.normal) for site in sites],
+        anchored,
         simulator.config.resist.effective_threshold(dose),
         search_nm=search_nm,
     )
+    first = loops.counts.cumsum() - loops.counts
+    position = np.arange(len(loops.tag)) - np.repeat(first, loops.counts)
     sites = [
-        replace(site, epe_nm=value, state=state)
-        for site, (value, state) in zip(sites, measured)
+        EPESite(
+            x=x,
+            y=y,
+            normal=normal,
+            tag=tag.value,
+            loop_index=loop_index,
+            fragment_index=fragment_index,
+            epe_nm=value,
+            state=state,
+        )
+        for ((x, y), normal), tag, loop_index, fragment_index, (value, state) in zip(
+            anchored,
+            loops.tags(index),
+            loops.loop[index].tolist(),
+            position[index].tolist(),
+            measured,
+        )
     ]
     return EPEStats.from_values([site.epe_nm for site in sites]), sites
 

@@ -1,5 +1,6 @@
 """Unit and property tests for edge fragmentation and bias application."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +82,30 @@ class TestFragmentation:
             FragmentationSpec(0, 60, 10, 50).validated()
         with pytest.raises(GeometryError):
             FragmentationSpec(20, 5, 10, 50).validated()
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            (40.5, 80, 20, 260),
+            (40, float("nan"), 20, 260),
+            (40, 80, 20.0, 260),
+            (40, 80, 20, float("inf")),
+            (40, 80, 20, 260.5),
+        ],
+    )
+    def test_lengths_must_be_whole_dbu(self, lengths):
+        # Unchecked, a fractional length made fragment_region raise
+        # TypeError from range(), and max_length_nm=nan silently cut a
+        # 1000x300 rect into 12 fragments where 80 gives 38.
+        with pytest.raises(GeometryError, match="whole dbu"):
+            FragmentationSpec(*lengths).validated()
+        with pytest.raises(GeometryError, match="whole dbu"):
+            fragment_region(Region(Rect(0, 0, 1000, 300)), FragmentationSpec(*lengths))
+
+    def test_numpy_integer_lengths_are_whole(self):
+        spec = FragmentationSpec(*(np.int64(v) for v in (40, 80, 20, 260)))
+        frags = fragment_region(Region(Rect(0, 0, 1000, 300)), spec)
+        assert sum(len(loop) for loop in frags) == 38
 
 
 class TestApplyBiases:

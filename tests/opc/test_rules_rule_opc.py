@@ -1,9 +1,10 @@
 """Unit and integration tests for bias tables and rule-based OPC."""
 
+import numpy as np
 import pytest
 
 from repro.errors import OPCError
-from repro.geometry import Polygon, Rect, Region
+from repro.geometry import EdgeIndex, Polygon, Rect, Region
 from repro.litho import binary_mask
 from repro.opc import (
     BiasRule,
@@ -50,6 +51,34 @@ class TestBiasTable:
         table = default_bias_table_180nm()
         biases = [r.bias_nm for r in table.rules]
         assert biases == sorted(biases)
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            BiasRule(ISOLATED, 2.7),
+            BiasRule(ISOLATED, float("nan")),
+            BiasRule(float("nan"), 5),
+            BiasRule(600.5, 5),
+            BiasRule(600, 5.0),
+            BiasRule(float("inf"), 5),
+        ],
+    )
+    def test_bounds_and_biases_must_be_whole_dbu(self, rule):
+        # Unchecked, BiasRule(ISOLATED, 2.7) biased by 2 nm, a NaN bias
+        # raised ValueError from int(), and a NaN bound never matched, so
+        # its bin's edges took the next rule's bias.
+        with pytest.raises(OPCError, match="whole dbu"):
+            BiasTable([BiasRule(300, 0), rule])
+
+    def test_isolated_and_numpy_integers_are_whole(self):
+        table = BiasTable([BiasRule(np.int64(300), np.int32(3)), BiasRule(ISOLATED, 7)])
+        assert table.bias_for(299) == 3 and table.bias_for(None) == 7
+        assert type(table.bias_for(299)) is int
+
+    def test_array_lookup_takes_no_hit_as_isolated(self):
+        table = self.make()
+        spaces = np.array([200, 300, 599, 600, EdgeIndex.NO_HIT, ISOLATED], dtype=np.int64)
+        assert table.biases_for(spaces).tolist() == [0, 5, 5, 10, 10, 10]
 
 
 class TestRuleOPC:
@@ -108,6 +137,17 @@ class TestRuleOPC:
             RuleOPCRecipe(line_end_extension_nm=-1).validated()
         with pytest.raises(OPCError):
             RuleOPCRecipe(measure_range_nm=0).validated()
+
+    @pytest.mark.parametrize(
+        "recipe",
+        [
+            RuleOPCRecipe(line_end_extension_nm=20.5),
+            RuleOPCRecipe(hammerhead_extra_nm=float("nan")),
+        ],
+    )
+    def test_line_end_corrections_must_be_whole_dbu(self, recipe):
+        with pytest.raises(OPCError, match="whole dbu"):
+            rule_opc(Region(Rect(0, 0, 180, 2000)), recipe)
 
     def test_result_reports_fragments(self):
         line = Region(Rect(0, 0, 180, 2000))
