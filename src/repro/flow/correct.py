@@ -335,8 +335,8 @@ def correct_cell_layer(
     dose: float = 1.0,
     **recipes,
 ) -> FlowResult:
-    """Flatten a cell's layer and run :func:`correct_region` on it."""
-    target = cell.flat_region(layer)
+    """Flatten a cell's layer, merge it once and run :func:`correct_region` on it."""
+    target = cell.flat_region(layer).merged()
     if target.is_empty:
         raise ReproError(f"cell {cell.name!r} has nothing on {layer}")
     return correct_region(

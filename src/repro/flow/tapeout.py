@@ -340,8 +340,8 @@ def tapeout_cell_layer(
     recipe: TapeoutRecipe = TapeoutRecipe(),
     verify: bool = True,
 ) -> TapeoutResult:
-    """Flatten ``cell``'s ``layer`` and run :func:`tapeout_region`."""
-    drawn = cell.flat_region(layer)
+    """Flatten ``cell``'s ``layer``, merge it once and run :func:`tapeout_region`."""
+    drawn = cell.flat_region(layer).merged()
     if drawn.is_empty:
         raise ReproError(f"cell {cell.name!r} has nothing on {layer}")
     return tapeout_region(

@@ -8,12 +8,13 @@ Public surface:
   via :meth:`Region.sized`;
 * :class:`Transform` -- exact 90-degree layout transforms;
 * fragmentation (:func:`fragment_region`, :func:`apply_biases`) for OPC;
-* decomposition/fracture (:func:`decompose_rects`, :func:`fracture`);
+* decomposition/fracture (:func:`decompose_rects`, :func:`fracture`,
+  :func:`fracture_array`);
 * measurement (:class:`EdgeIndex`) and spatial indexing (:class:`GridIndex`).
 """
 
 from .booleans import boolean_loops, boolean_rects
-from .decompose import decompose_max_rects, decompose_rects, fracture
+from .decompose import decompose_max_rects, decompose_rects, fracture, fracture_array
 from .fragment import (
     Fragment,
     FragmentationSpec,
@@ -50,6 +51,7 @@ __all__ = [
     "decompose_rects",
     "feature_widths",
     "fracture",
+    "fracture_array",
     "fragment_region",
     "smooth_jogs",
 ]

@@ -8,14 +8,20 @@ Two decompositions matter in this library:
   figure must also respect a maximum writer figure size.
 
 For Manhattan geometry every trapezoid degenerates to a rectangle, so the
-fracture output is a rectangle list; shot counts follow directly.
+fracture output is a rectangle list; shot counts follow directly.  Both
+decompositions run as array passes over the region's slab rect array
+(:meth:`Region.rect_array`); :func:`fracture_array` is the fracture as an
+``(n, 4)`` int64 array, which shot counts read with no per-figure object.
 """
 
 from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from ..errors import GeometryError
+from .booleans import rect_list
 from .region import Region
 from .rect import Rect
 
@@ -28,23 +34,12 @@ def decompose_rects(region: Region) -> List[Rect]:
 def decompose_max_rects(region: Region) -> List[Rect]:
     """A greedy merge of the slab decomposition into fewer rectangles.
 
-    Adjacent slab rects with identical y-extent are fused horizontally.
-    The result is still exact and disjoint, typically 2-4x fewer figures
-    than the raw slab decomposition on standard-cell data.
+    Slab rects in ``(y1, y2, x1)`` order that share their y-extent and
+    touch in x are fused horizontally.  The result is still exact and
+    disjoint, typically 2-4x fewer figures than the raw slab decomposition
+    on standard-cell data, and comes in that order.
     """
-    slabs = sorted(region.rects(), key=lambda r: (r.y1, r.y2, r.x1))
-    merged: List[Rect] = []
-    for rect in slabs:
-        if (
-            merged
-            and merged[-1].y1 == rect.y1
-            and merged[-1].y2 == rect.y2
-            and merged[-1].x2 == rect.x1
-        ):
-            merged[-1] = Rect(merged[-1].x1, rect.y1, rect.x2, rect.y2)
-        else:
-            merged.append(rect)
-    return merged
+    return rect_list(_max_rects(region.rect_array()))
 
 
 def fracture(region: Region, max_figure: int) -> List[Rect]:
@@ -52,33 +47,55 @@ def fracture(region: Region, max_figure: int) -> List[Rect]:
 
     Models mask data preparation for a variable-shaped-beam (VSB) or raster
     writer: the merged rectangle decomposition is split so that no figure
-    exceeds ``max_figure`` dbu on either axis.
+    exceeds ``max_figure`` dbu on either axis.  Figures come rect by rect
+    of :func:`decompose_max_rects`, each rect's pieces by column, then by
+    row.
     """
-    if max_figure <= 0:
-        raise GeometryError(f"max_figure must be positive, got {max_figure}")
-    figures: List[Rect] = []
-    for rect in decompose_max_rects(region):
-        figures.extend(_split_rect(rect, max_figure))
-    return figures
+    return rect_list(fracture_array(region, max_figure))
 
 
-def _split_rect(rect: Rect, max_figure: int) -> List[Rect]:
-    """Split one rect into a grid of sub-rects bounded by ``max_figure``."""
-    xs = _cuts(rect.x1, rect.x2, max_figure)
-    ys = _cuts(rect.y1, rect.y2, max_figure)
-    pieces: List[Rect] = []
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            pieces.append(Rect(xs[i], ys[j], xs[i + 1], ys[j + 1]))
-    return pieces
+def fracture_array(region: Region, max_figure: int) -> np.ndarray:
+    """:func:`fracture` as an ``(n, 4)`` int64 rect array ``(x1, y1, x2, y2)``.
+
+    Each merged rect of width ``w`` and height ``h`` splits into
+    ``ceil(w / max_figure)`` columns by ``ceil(h / max_figure)`` rows, the
+    cut ``k`` of ``p`` pieces of a span at ``lo + (span * k) // p``.
+    ``max_figure`` must be a positive integer, else :class:`GeometryError`.
+    """
+    if not isinstance(max_figure, (int, np.integer)) or max_figure <= 0:
+        raise GeometryError(f"max_figure must be a positive integer, got {max_figure!r}")
+    x1, y1, x2, y2 = _max_rects(region.rect_array()).T
+    width, height = x2 - x1, y2 - y1
+    cols = np.maximum(-(-width // max_figure), 1)
+    rows = np.maximum(-(-height // max_figure), 1)
+    pieces = cols * rows
+    owner = np.repeat(np.arange(len(pieces)), pieces)
+    index = np.arange(int(pieces.sum())) - np.repeat(pieces.cumsum() - pieces, pieces)
+    col, row = np.divmod(index, rows[owner])
+    xs = (x1[owner], width[owner], cols[owner])
+    ys = (y1[owner], height[owner], rows[owner])
+    return np.stack(
+        (_cut(*xs, col), _cut(*ys, row), _cut(*xs, col + 1), _cut(*ys, row + 1)), axis=1
+    )
 
 
-def _cuts(lo: int, hi: int, max_span: int) -> List[int]:
-    """Cut positions splitting ``[lo, hi]`` into near-equal spans <= max_span."""
-    span = hi - lo
-    if span <= max_span:
-        return [lo, hi]
-    pieces = -(-span // max_span)  # ceil division
-    cuts = [lo + (span * k) // pieces for k in range(pieces)]
-    cuts.append(hi)
-    return cuts
+def _max_rects(rects: np.ndarray) -> np.ndarray:
+    """Slab rects sorted by ``(y1, y2, x1)``, each run that touches in x fused."""
+    rects = rects[np.lexsort((rects[:, 0], rects[:, 3], rects[:, 1]))]
+    x1, y1, x2, y2 = rects.T
+    joins = (y1[1:] == y1[:-1]) & (y2[1:] == y2[:-1]) & (x1[1:] == x2[:-1])
+    first = np.ones(len(rects), dtype=bool)
+    first[1:] = ~joins
+    last = np.ones(len(rects), dtype=bool)
+    last[:-1] = ~joins
+    return np.stack((x1[first], y1[first], x2[last], y2[first]), axis=1)
+
+
+def _cut(lo: np.ndarray, span: np.ndarray, pieces: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Cut ``k`` of a span split into ``pieces``: ``lo + (span * k) // pieces``.
+
+    Evaluated as ``q * k + (r * k) // pieces`` with ``span = q * pieces + r``,
+    which is exact without forming the int64 product ``span * k``.
+    """
+    whole, rest = np.divmod(span, pieces)
+    return lo + whole * k + (rest * k) // pieces

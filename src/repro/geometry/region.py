@@ -112,6 +112,19 @@ class Region:
         return region
 
     @classmethod
+    def _from_loops(cls, loops: List[List[Coord]]) -> "Region":
+        """A raw region holding ``loops`` as they are.
+
+        Each loop must already be as :class:`Polygon` leaves one: four or
+        more integer tuples, rectilinear, with no repeated or collinear
+        vertex.
+        """
+        region = cls()
+        region._loops = loops
+        region._canonical = not loops
+        return region
+
+    @classmethod
     def _from_runs(cls, runs: Optional[SlabRuns]) -> "Region":
         """The canonical region of a sweep's joined slab runs, stitched lazily."""
         region = cls()

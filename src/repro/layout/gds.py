@@ -8,17 +8,23 @@ byte-for-byte deterministic.
 The mask data-volume experiments measure real on-disk bytes, so the writer
 is a faithful stream-format implementation, not a toy: 8-byte excess-64
 reals, even-length padded strings, record framing, and AREF lattices all
-follow the Calma specification.
+follow the Calma specification.  :func:`stream_size` gives the length of
+the stream the writer makes of one cell of boundaries from loop and vertex
+counts alone, and the reader decodes every BOUNDARY of a stream in one
+array pass.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import chain
 from pathlib import Path
-from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple, Union
+from typing import BinaryIO, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..errors import GDSError
-from ..geometry import Transform
+import numpy as np
+
+from ..errors import GDSError, GeometryError
+from ..geometry import Coord, Polygon, Region, Transform
 from .cell import Cell
 from .layer import Layer
 from .library import Library
@@ -56,6 +62,22 @@ _ANGLE = (0x1C, 0x05)
 _FIXED_TIMESTAMP = (2001, 6, 18, 0, 0, 0, 2001, 6, 18, 0, 0, 0)
 
 _REFLECTION_FLAG = 0x8000
+
+#: Most vertices of one BOUNDARY: its XY record holds at most 0xFFFF bytes,
+#: 4 of framing and 8 per vertex, the first vertex repeated at the end.
+_MAX_BOUNDARY_VERTICES = (0xFFFF - 4) // 8 - 1
+
+#: Bytes of one BOUNDARY besides 8 per vertex: BOUNDARY 4, LAYER 6,
+#: DATATYPE 6, XY 4 + 8 for the repeated first vertex, and ENDEL 4.
+_BOUNDARY_BYTES = 32
+
+#: Bytes of a library's records besides LIBNAME and its cells: HEADER 6,
+#: BGNLIB 28, UNITS 20 and ENDLIB 4.
+_LIBRARY_BYTES = 58
+
+#: Bytes of a cell's records besides STRNAME and its elements: BGNSTR 28
+#: and ENDSTR 4.
+_CELL_BYTES = 32
 
 
 # -- 8-byte excess-64 real conversion ------------------------------------------------
@@ -113,11 +135,27 @@ def _ascii(text: str) -> bytes:
 
 
 def _int16(*values: int) -> bytes:
-    return struct.pack(f">{len(values)}h", *values)
+    try:
+        return struct.pack(f">{len(values)}h", *values)
+    except struct.error:
+        _raise_out_of_range(values, 16, "value")
+        raise
 
 
 def _int32(*values: int) -> bytes:
-    return struct.pack(f">{len(values)}i", *values)
+    try:
+        return struct.pack(f">{len(values)}i", *values)
+    except struct.error:
+        _raise_out_of_range(values, 32, "coordinate")
+        raise
+
+
+def _raise_out_of_range(values: Sequence[int], bits: int, what: str) -> None:
+    """Raise :class:`GDSError` naming the first value outside signed ``bits`` bits."""
+    limit = 1 << (bits - 1)
+    for value in values:
+        if not -limit <= value < limit:
+            raise GDSError(f"{what} {value} is outside the GDSII int{bits} range") from None
 
 
 # -- writer ---------------------------------------------------------------------
@@ -237,6 +275,45 @@ class GDSWriter:
         emit(_record(_ENDEL))
 
 
+def stream_size(
+    library_name: str, cell_name: str, layer: Layer, loops: Sequence[Sequence[Coord]]
+) -> int:
+    """The length of the stream :class:`GDSWriter` writes for one cell of loops.
+
+    The library ``library_name`` holds one cell ``cell_name`` whose only
+    elements are ``loops``, each a BOUNDARY on ``layer``: what the writer
+    makes of a cell holding a region with these loops.  The length comes
+    from the loop and vertex counts, with no byte of the stream built:
+    each loop takes 32 bytes plus 8 per vertex, inside a fixed frame of
+    library and cell records.  Raises the :class:`GDSError` the writer
+    raises, at the first loop it would: for a layer or datatype outside
+    int16, a coordinate outside int32, or a loop of more than 8,190
+    vertices, whose XY record would pass 0xFFFF bytes.
+    """
+    size = (
+        _LIBRARY_BYTES + len(_record(_LIBNAME, _ascii(library_name)))
+        + _CELL_BYTES + len(_record(_STRNAME, _ascii(cell_name)))
+    )
+    if not loops:
+        return size
+    _int16(layer.gds_layer, layer.datatype)  # LAYER and DATATYPE come before XY
+    lengths = np.fromiter(map(len, loops), dtype=np.int64, count=len(loops))
+    vertices = int(lengths.sum())
+    coords = np.fromiter(
+        chain.from_iterable(chain.from_iterable(loops)), dtype=np.int64, count=2 * vertices
+    )
+    if (
+        lengths.max() > _MAX_BOUNDARY_VERTICES
+        or coords.min() < -(1 << 31)
+        or coords.max() >= 1 << 31
+    ):
+        # The writer's own records raise its error at the first bad loop.
+        writer = GDSWriter()
+        for loop in loops:
+            writer._write_boundary(layer, loop, lambda data: None)
+    return size + _BOUNDARY_BYTES * len(loops) + 8 * vertices
+
+
 # -- reader ----------------------------------------------------------------------
 
 
@@ -260,6 +337,13 @@ class GDSReader:
         return self._parse(source.read())
 
     def _parse(self, data: bytes) -> Library:
+        """The library of ``data``.
+
+        Records are parsed in file order, with each BOUNDARY's XY payload
+        set aside; :func:`_boundary_loops` then decodes and checks them
+        all at once, and each cell receives its loops and PATH regions
+        layer by layer in file order.
+        """
         records = list(_iter_records(data))
         cursor = 0
 
@@ -282,10 +366,15 @@ class GDSReader:
         expect(_UNITS)
         library = Library(library_name)
         pending_refs: List[Tuple[Cell, str, Transform, Optional[Tuple[int, int, int, int]]]] = []
+        # BOUNDARY XY payloads in file order, and each cell's elements in
+        # file order: (layer, index into the payloads or a PATH's region).
+        payloads: List[bytes] = []
+        elements: List[Tuple[Cell, List[Tuple[Layer, Union[int, Region]]]]] = []
 
         while peek() == _BGNSTR:
             cursor += 1
             cell = Cell(_read_ascii(expect(_STRNAME)))
+            shapes: List[Tuple[Layer, Union[int, Region]]] = []
             while peek() != _ENDSTR:
                 kind = peek()
                 if kind == _BOUNDARY:
@@ -294,9 +383,12 @@ class GDSReader:
                     datatype = struct.unpack(">h", expect(_DATATYPE))[0]
                     xy = expect(_XY)
                     expect(_ENDEL)
-                    coords = struct.unpack(f">{len(xy) // 4}i", xy)
-                    pts = list(zip(coords[0::2], coords[1::2]))
-                    cell.add(Layer(layer_num, datatype), pts)
+                    if len(xy) % 8:
+                        raise GDSError(
+                            f"BOUNDARY XY record of {len(xy)} bytes is not whole points"
+                        )
+                    shapes.append((Layer(layer_num, datatype), len(payloads)))
+                    payloads.append(xy)
                 elif kind == _PATH:
                     cursor += 1
                     layer_num = struct.unpack(">h", expect(_LAYER))[0]
@@ -312,7 +404,7 @@ class GDSReader:
                     coords = struct.unpack(f">{len(xy) // 4}i", xy)
                     pts = list(zip(coords[0::2], coords[1::2]))
                     region = _path_to_region(pts, width, pathtype)
-                    cell.add(Layer(layer_num, datatype), region)
+                    shapes.append((Layer(layer_num, datatype), region))
                 elif kind == _TEXT:
                     cursor += 1
                     layer_num = struct.unpack(">h", expect(_LAYER))[0]
@@ -333,8 +425,21 @@ class GDSReader:
                     raise GDSError(f"unsupported element record {kind}")
             cursor += 1  # ENDSTR
             library.add(cell)
+            elements.append((cell, shapes))
 
         expect(_ENDLIB)
+
+        loops = _boundary_loops(payloads)
+        for cell, shapes in elements:
+            by_layer: Dict[Layer, List[List[Coord]]] = {}
+            for layer, shape in shapes:
+                kept = by_layer.setdefault(layer, [])
+                if isinstance(shape, Region):
+                    kept.extend(shape.loops)
+                elif loops[shape]:
+                    kept.append(loops[shape])
+            for layer, kept in by_layer.items():
+                cell.add(layer, Region._from_loops(kept))
 
         for parent, child_name, transform, colrow in pending_refs:
             child = library[child_name]
@@ -399,6 +504,61 @@ def _iter_records(data: bytes) -> Iterator[Tuple[Tuple[int, int], bytes]]:
             raise GDSError(f"bad record length {length} at offset {offset}")
         yield (rec_type, data_type), data[offset + 4 : offset + length]
         offset += length
+
+
+def _boundary_loops(payloads: Sequence[bytes]) -> List[List[Coord]]:
+    """Each BOUNDARY XY payload as the loop :class:`Polygon` makes of it.
+
+    One ``np.frombuffer`` decodes every payload.  A closing vertex equal
+    to the first is dropped, and every edge of a loop of three or more
+    points must be axis-parallel: the first that is not, in file order,
+    raises :class:`GeometryError` as :class:`Polygon` does.  A loop of four
+    or more points with no repeated vertex and no collinear one is kept as
+    decoded; any other goes through :class:`Polygon`, which strips it, and
+    an empty list stands for a loop left with no area.
+    """
+    counts = np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads)) // 8
+    flat = np.frombuffer(b"".join(payloads), dtype=">i4").astype(np.int64)
+    xs, ys = flat[0::2], flat[1::2]
+    points = list(zip(xs.tolist(), ys.tolist()))
+    stops = counts.cumsum()
+    starts = stops - counts
+    # Drop a closing vertex that equals the first.
+    closed = np.zeros(len(counts), dtype=bool)
+    some = counts > 0
+    first, last = starts[some], stops[some] - 1
+    closed[some] = (xs[first] == xs[last]) & (ys[first] == ys[last])
+    keep = np.ones(len(points), dtype=bool)
+    keep[stops[closed] - 1] = False
+    x, y = xs[keep], ys[keep]
+    lengths = counts - closed
+    # Each vertex's successor, wrapping around at the end of its loop.
+    ends = lengths.cumsum()
+    succ = np.arange(1, len(x) + 1)
+    succ[ends[lengths > 0] - 1] = (ends - lengths)[lengths > 0]
+    dx, dy = x[succ] - x, y[succ] - y
+    diagonal = (dx != 0) & (dy != 0) & np.repeat(lengths >= 3, lengths)
+    if diagonal.any():
+        i = int(np.argmax(diagonal))
+        raise GeometryError(
+            f"non-rectilinear edge ({x[i]},{y[i]})->({x[succ[i]]},{y[succ[i]]}); "
+            "only Manhattan polygons are supported"
+        )
+    # A repeated vertex is a zero edge, a collinear one two parallel edges.
+    horizontal = dy == 0
+    degenerate = (horizontal & (dx == 0)) | (horizontal == horizontal[succ])
+    loop = np.repeat(np.arange(len(lengths)), lengths)
+    clean = (lengths >= 4) & (np.bincount(loop[degenerate], minlength=len(lengths)) == 0)
+    loops: List[List[Coord]] = []
+    for start, stop, length, ok in zip(
+        starts.tolist(), stops.tolist(), lengths.tolist(), clean.tolist()
+    ):
+        if ok:
+            loops.append(points[start : start + length])
+        else:
+            polygon = Polygon(points[start:stop])
+            loops.append([] if polygon.is_empty else polygon.points)
+    return loops
 
 
 def _read_ascii(payload: bytes) -> str:

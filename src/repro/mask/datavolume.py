@@ -6,9 +6,11 @@ Three sizes matter to a 2001 tape-out:
 * writer shots after fracture (mask shop's exposure time), and
 * bytes on disk/tape (the data-handling crisis OPC triggered).
 
-The byte model counts real GDSII bytes via the codec; the writer model
+The byte model counts the GDSII bytes the codec would write, from loop and
+vertex counts (:func:`repro.layout.gds.stream_size`); the writer model
 fractures to rectangles under a maximum figure size and charges a fixed
-record size per shot, the structure of MEBES/VSB formats.
+record size per shot, the structure of MEBES/VSB formats.  Neither builds
+a per-figure object or a byte stream.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ReproError
-from ..geometry import Region, fracture
-from ..layout import GDSWriter, Layer, Library
+from ..geometry import Region, fracture_array
+from ..layout import Layer
+from ..layout.gds import stream_size
 
 #: Bytes per writer shot record (trapezoid: type + 4 coordinates, packed).
 SHOT_RECORD_BYTES = 16
@@ -34,7 +37,7 @@ class MaskDataStats:
     vertices: int  # database vertices
     shots: int  # writer shots after fracture
     writer_bytes: int  # shots * record size
-    gds_bytes: int  # actual serialised GDSII size
+    gds_bytes: int  # serialised GDSII size
 
     def ratio_to(self, baseline: "MaskDataStats") -> "DataGrowth":
         """Growth factors relative to an uncorrected baseline."""
@@ -70,23 +73,19 @@ def mask_data_stats(
     """Measure one mask layer's data sizes.
 
     ``geometry`` is merged first (mask data is flat); GDS bytes measure the
-    single-cell stream holding exactly this geometry.
+    single-cell stream holding exactly this geometry on ``layer``, and
+    raise the :class:`~repro.errors.GDSError` its writer would.
     """
     if max_figure_nm <= 0:
         raise ReproError(f"max figure size must be positive, got {max_figure_nm}")
     merged = geometry.merged()
-    shots = len(fracture(merged, max_figure_nm)) if not merged.is_empty else 0
-    library = Library("maskdata")
-    cell = library.new_cell("mask")
-    if not merged.is_empty:
-        cell.set_region(layer, merged)
-    gds_bytes = len(GDSWriter().to_bytes(library))
+    shots = len(fracture_array(merged, max_figure_nm))
     return MaskDataStats(
         figures=merged.num_loops,
         vertices=merged.num_vertices,
         shots=shots,
         writer_bytes=shots * SHOT_RECORD_BYTES,
-        gds_bytes=gds_bytes,
+        gds_bytes=stream_size("maskdata", "mask", layer, merged.loops),
     )
 
 

@@ -9,6 +9,7 @@ rule-based retargeting using the same measurement machinery as rule OPC.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,10 @@ class RetargetRules:
         """Return self, raising :class:`OPCError` on nonsense values."""
         if self.min_width_nm <= 0 or self.min_space_nm <= 0:
             raise OPCError("retarget minima must be positive")
-        if self.measure_range_nm <= 0:
-            raise OPCError("measurement range must be positive")
+        if not math.isfinite(self.measure_range_nm) or self.measure_range_nm <= 0:
+            raise OPCError(
+                f"measurement range must be finite and positive, got {self.measure_range_nm}"
+            )
         return self
 
 

@@ -13,6 +13,7 @@ never saw get the wrong correction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List
 
@@ -57,8 +58,10 @@ class RuleOPCRecipe:
             raise OPCError("line-end corrections must be non-negative")
         if self.serif_size_nm < 0:
             raise OPCError("serif size must be non-negative")
-        if self.measure_range_nm <= 0:
-            raise OPCError("measurement range must be positive")
+        if not math.isfinite(self.measure_range_nm) or self.measure_range_nm <= 0:
+            raise OPCError(
+                f"measurement range must be finite and positive, got {self.measure_range_nm}"
+            )
         return self
 
 

@@ -5,8 +5,8 @@ import struct
 import pytest
 
 from repro.errors import GDSError
-from repro.geometry import Rect, Transform
-from repro.layout import GDSReader, GDSWriter, Library, POLY
+from repro.geometry import Rect, Region, Transform
+from repro.layout import GDSReader, GDSWriter, Layer, Library, POLY
 from repro.layout.gds import pack_real8
 
 
@@ -60,6 +60,37 @@ class TestExoticContent:
         cell.add(POLY, Rect(-big, -big, big, big))
         restored = roundtrip(lib)
         assert restored["c"].region(POLY).bbox() == Rect(-big, -big, big, big)
+
+    @pytest.mark.parametrize("coordinate", [2**31, -(2**31) - 1])
+    def test_coordinate_outside_int32_is_a_gds_error(self, coordinate):
+        lib = Library("big")
+        cell = lib.new_cell("c")
+        cell.add(POLY, Rect(min(0, coordinate), 0, max(0, coordinate), 100))
+        with pytest.raises(GDSError, match=f"coordinate {coordinate} is outside"):
+            GDSWriter().to_bytes(lib)
+        edges = Rect(-(2**31), 0, 2**31 - 1, 100)  # the int32 limits still fit
+        cell.set_region(POLY, Region(edges))
+        assert roundtrip(lib)["c"].region(POLY).bbox() == edges
+
+    def test_layer_outside_int16_is_a_gds_error(self):
+        lib = Library("l")
+        lib.new_cell("c").add(Layer(32768, 0), Rect(0, 0, 10, 10))
+        with pytest.raises(GDSError, match="value 32768 is outside the GDSII int16 range"):
+            GDSWriter().to_bytes(lib)
+
+    def test_loop_past_8190_vertices_is_too_long(self):
+        def staircase(steps):
+            points = [(0, 0), (steps * 10, 0)]
+            for i in range(steps):
+                points += [((steps - i) * 10, (i + 1) * 10), ((steps - i - 1) * 10, (i + 1) * 10)]
+            return points
+
+        lib = Library("s")
+        lib.new_cell("c").add(POLY, staircase(4094))  # 8,190 vertices
+        assert roundtrip(lib)["c"].region(POLY).num_vertices == 8190
+        lib["c"].add(POLY, staircase(4095))  # 8,192 vertices
+        with pytest.raises(GDSError, match="record too long"):
+            GDSWriter().to_bytes(lib)
 
     def test_many_layers(self):
         from repro.layout import Layer

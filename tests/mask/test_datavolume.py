@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import GDSError, ReproError
 from repro.geometry import Rect, Region
 from repro.mask import (
     SHOT_RECORD_BYTES,
@@ -48,6 +48,18 @@ class TestMaskDataStats:
     def test_max_figure_validation(self):
         with pytest.raises(ReproError):
             mask_data_stats(Region(Rect(0, 0, 10, 10)), max_figure_nm=0)
+
+    def test_coordinate_outside_int32_is_a_gds_error(self):
+        with pytest.raises(GDSError, match="coordinate 2147483648 is outside"):
+            mask_data_stats(Region(Rect(0, 0, 2**31, 100)))
+
+    def test_loop_past_8190_vertices_is_a_gds_error(self):
+        steps = 4095  # a staircase of 2 * steps + 2 = 8,192 vertices
+        points = [(0, 0), (steps * 10, 0)]
+        for i in range(steps):
+            points += [((steps - i) * 10, (i + 1) * 10), ((steps - i - 1) * 10, (i + 1) * 10)]
+        with pytest.raises(GDSError, match="record too long"):
+            mask_data_stats(Region(points))
 
     def test_write_time(self):
         stats = mask_data_stats(Region(Rect(0, 0, 10_000, 10_000)))

@@ -53,6 +53,16 @@ class TestRetarget:
             RetargetRules(min_width_nm=100, min_space_nm=100,
                           measure_range_nm=0).validated()
 
+    @pytest.mark.parametrize("measure_range_nm", [float("nan"), float("inf"), -1.0])
+    def test_measure_range_must_be_finite_and_positive(self, measure_range_nm):
+        # With a NaN range no ray hit the neighbour, so two 40 nm lines
+        # 40 nm apart were never widened: 80,000 nm2 kept, not 180,000.
+        pair = Region.from_rects([Rect(0, 0, 40, 1000), Rect(80, 0, 120, 1000)])
+        assert retarget(pair, RetargetRules(100, 100)).area == 180_000
+        rules = RetargetRules(100, 100, measure_range_nm=measure_range_nm)
+        with pytest.raises(OPCError, match="finite and positive"):
+            retarget(pair, rules)
+
     def test_retarget_then_drc_width_clean(self):
         from repro.verify import check_width
 

@@ -138,6 +138,18 @@ class TestRuleOPC:
         with pytest.raises(OPCError):
             RuleOPCRecipe(measure_range_nm=0).validated()
 
+    @pytest.mark.parametrize("measure_range_nm", [float("nan"), float("inf"), -1.0])
+    def test_measure_range_must_be_finite_and_positive(self, measure_range_nm):
+        # With a NaN range every clearance ray read NO_HIT, so five dense
+        # lines all took the isolated bias: 2,153,920 nm2, not 1,893,824.
+        lines = Region.from_rects(
+            [Rect(x, 0, x + 180, 2000) for x in range(0, 5 * 460, 460)]
+        )
+        assert rule_opc(lines, RuleOPCRecipe(line_end_extension_nm=0)).corrected.area == 1_893_824
+        recipe = RuleOPCRecipe(line_end_extension_nm=0, measure_range_nm=measure_range_nm)
+        with pytest.raises(OPCError, match="finite and positive"):
+            rule_opc(lines, recipe)
+
     @pytest.mark.parametrize(
         "recipe",
         [
