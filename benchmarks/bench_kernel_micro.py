@@ -8,7 +8,7 @@ kernel performance regressions show up as timing shifts in CI history.
 import pytest
 
 from repro import obs
-from repro.geometry import Rect, Region, fracture, smooth_jogs
+from repro.geometry import Rect, Region, fracture_array, smooth_jogs
 from repro.litho import (
     Grid,
     KernelStore,
@@ -118,7 +118,7 @@ def test_micro_kernel_cache_warm(benchmark, tmp_path):
 
 
 def test_micro_fracture(benchmark, dense_region):
-    figures = benchmark(lambda: fracture(dense_region, 2000))
+    figures = benchmark(lambda: fracture_array(dense_region, 2000))
     assert len(figures) > 50
 
 

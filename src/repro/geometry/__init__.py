@@ -8,15 +8,14 @@ Public surface:
   via :meth:`Region.sized`;
 * :class:`Transform` -- exact 90-degree layout transforms;
 * fragmentation (:func:`fragment_region`, :func:`apply_biases`) for OPC;
-* decomposition/fracture (:func:`decompose_rects`, :func:`fracture`,
+* decomposition/fracture (:func:`decompose_max_rects`,
   :func:`fracture_array`);
 * measurement (:class:`EdgeIndex`) and spatial indexing (:class:`GridIndex`).
 """
 
 from .booleans import boolean_loops, boolean_rects
-from .decompose import decompose_max_rects, decompose_rects, fracture, fracture_array
+from .decompose import decompose_max_rects, fracture_array
 from .fragment import (
-    Fragment,
     FragmentationSpec,
     FragmentTag,
     apply_biases,
@@ -34,7 +33,6 @@ from .transform import Transform
 __all__ = [
     "Coord",
     "EdgeIndex",
-    "Fragment",
     "FragmentTag",
     "FragmentationSpec",
     "GridIndex",
@@ -48,9 +46,7 @@ __all__ = [
     "boolean_rects",
     "bounding_box",
     "decompose_max_rects",
-    "decompose_rects",
     "feature_widths",
-    "fracture",
     "fracture_array",
     "fragment_region",
     "smooth_jogs",

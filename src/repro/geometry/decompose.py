@@ -8,9 +8,9 @@ Two decompositions matter in this library:
   figure must also respect a maximum writer figure size.
 
 For Manhattan geometry every trapezoid degenerates to a rectangle, so the
-fracture output is a rectangle list; shot counts follow directly.  Both
+fracture output is a rectangle array; shot counts follow directly.  Both
 decompositions run as array passes over the region's slab rect array
-(:meth:`Region.rect_array`); :func:`fracture_array` is the fracture as an
+(:meth:`Region.rect_array`), and :func:`fracture_array` returns an
 ``(n, 4)`` int64 array, which shot counts read with no per-figure object.
 """
 
@@ -26,11 +26,6 @@ from .region import Region
 from .rect import Rect
 
 
-def decompose_rects(region: Region) -> List[Rect]:
-    """Disjoint slab rectangles covering ``region`` exactly."""
-    return region.rects()
-
-
 def decompose_max_rects(region: Region) -> List[Rect]:
     """A greedy merge of the slab decomposition into fewer rectangles.
 
@@ -42,25 +37,16 @@ def decompose_max_rects(region: Region) -> List[Rect]:
     return rect_list(_max_rects(region.rect_array()))
 
 
-def fracture(region: Region, max_figure: int) -> List[Rect]:
+def fracture_array(region: Region, max_figure: int) -> np.ndarray:
     """Fracture a region into writer figures no larger than ``max_figure``.
 
     Models mask data preparation for a variable-shaped-beam (VSB) or raster
-    writer: the merged rectangle decomposition is split so that no figure
-    exceeds ``max_figure`` dbu on either axis.  Figures come rect by rect
-    of :func:`decompose_max_rects`, each rect's pieces by column, then by
-    row.
-    """
-    return rect_list(fracture_array(region, max_figure))
-
-
-def fracture_array(region: Region, max_figure: int) -> np.ndarray:
-    """:func:`fracture` as an ``(n, 4)`` int64 rect array ``(x1, y1, x2, y2)``.
-
-    Each merged rect of width ``w`` and height ``h`` splits into
-    ``ceil(w / max_figure)`` columns by ``ceil(h / max_figure)`` rows, the
-    cut ``k`` of ``p`` pieces of a span at ``lo + (span * k) // p``.
-    ``max_figure`` must be a positive integer, else :class:`GeometryError`.
+    writer.  Returns an ``(n, 4)`` int64 rect array ``(x1, y1, x2, y2)``:
+    each rect of :func:`decompose_max_rects`, in its order, split into
+    ``ceil(w / max_figure)`` columns by ``ceil(h / max_figure)`` rows, by
+    column, then by row, the cut ``k`` of ``p`` pieces of a span at
+    ``lo + (span * k) // p``.  ``max_figure`` must be a positive integer,
+    else :class:`GeometryError`.
     """
     if not isinstance(max_figure, (int, np.integer)) or max_figure <= 0:
         raise GeometryError(f"max_figure must be a positive integer, got {max_figure!r}")

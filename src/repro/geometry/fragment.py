@@ -7,8 +7,7 @@ per-fragment biases, inserting jogs between fragments of the same edge
 and mitring true corners.  Fragmentation is one array pass over the
 loops' vertices, and a fragment set is held as per-fragment columns
 (:class:`FragmentLoops`) that rule OPC, retargeting, EPE sites and the
-rebuild read directly; :class:`Fragment` objects are built only for
-callers that ask for them.  The rebuild is a few array passes over
+rebuild read directly.  The rebuild is a few array passes over
 arrays a fragment set builds once, so an OPC loop that rebiases the same
 fragments every iteration pays for them once.
 
@@ -23,7 +22,7 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -46,61 +45,6 @@ class FragmentTag(Enum):
 #: The tags in code order: :attr:`FragmentLoops.tag` holds indices into it.
 TAGS: Tuple[FragmentTag, ...] = tuple(FragmentTag)
 _NORMAL, _CONVEX, _CONCAVE, _LINE_END = range(len(TAGS))
-
-
-@dataclass(frozen=True)
-class Fragment:
-    """A directed piece of a polygon edge.
-
-    ``start -> end`` runs along the loop direction; ``normal`` is the unit
-    outward normal.  ``tag`` records the geometric role used by OPC rules.
-    """
-
-    start: Coord
-    end: Coord
-    tag: FragmentTag
-    loop_index: int
-    edge_index: int
-
-    @property
-    def direction(self) -> Coord:
-        """Unit direction along the loop."""
-        dx = self.end[0] - self.start[0]
-        dy = self.end[1] - self.start[1]
-        return ((dx > 0) - (dx < 0), (dy > 0) - (dy < 0))
-
-    @property
-    def normal(self) -> Coord:
-        """Unit outward normal (right-hand normal of the direction)."""
-        dx, dy = self.direction
-        return (dy, -dx)
-
-    @property
-    def length(self) -> int:
-        """Fragment length in dbu."""
-        return abs(self.end[0] - self.start[0]) + abs(self.end[1] - self.start[1])
-
-    @property
-    def midpoint(self) -> Coord:
-        """Midpoint of the fragment (floored to the grid)."""
-        return (
-            (self.start[0] + self.end[0]) // 2,
-            (self.start[1] + self.end[1]) // 2,
-        )
-
-    def control_point(self, offset: int = 0) -> Coord:
-        """The EPE measurement site: midpoint pushed ``offset`` dbu outward."""
-        nx, ny = self.normal
-        mx, my = self.midpoint
-        return (mx + nx * offset, my + ny * offset)
-
-    def shifted(self, bias: int) -> Tuple[Coord, Coord]:
-        """Endpoint pair after moving the fragment ``bias`` dbu outward."""
-        nx, ny = self.normal
-        return (
-            (self.start[0] + nx * bias, self.start[1] + ny * bias),
-            (self.end[0] + nx * bias, self.end[1] + ny * bias),
-        )
 
 
 @dataclass(frozen=True)
@@ -143,13 +87,13 @@ class FragmentLoops(SequenceABC):
     ``(n, 2)`` int64 points, ``tag`` int8 indices into :data:`TAGS`,
     ``loop`` each fragment's loop and ``edge`` its edge's index in that
     loop; ``counts`` holds each loop's fragment count.  As a sequence it is
-    one :class:`Fragment` list per loop, built on first access, so
-    iteration, indexing, slicing and ``len`` behave as a list of lists.
-    It also keeps the arrays :func:`apply_biases` builds on its first call.
-    Treat it as read-only.
+    each loop's ``range`` of fragment indices, the rows of the columns
+    that loop owns, so ``len`` is the loop count.  It also keeps the
+    arrays :func:`apply_biases` builds on its first call.  Treat it as
+    read-only.
     """
 
-    __slots__ = ("counts", "start", "end", "tag", "loop", "edge", "_lists", "_arrays")
+    __slots__ = ("counts", "start", "end", "tag", "loop", "edge", "_arrays")
 
     def __init__(
         self,
@@ -166,35 +110,20 @@ class FragmentLoops(SequenceABC):
         self.tag = tag
         self.loop = loop
         self.edge = edge
-        self._lists: Optional[List[List[Fragment]]] = None
         self._arrays: Optional[_FragmentArrays] = None
 
     def __len__(self) -> int:
         return len(self.counts)
 
     def __getitem__(self, index):
-        return self._fragment_lists()[index]
+        return self._ranges()[index]
 
     def __iter__(self):
-        return iter(self._fragment_lists())
+        return iter(self._ranges())
 
-    def _fragment_lists(self) -> List[List[Fragment]]:
-        if self._lists is None:
-            fragments = [
-                Fragment((x1, y1), (x2, y2), TAGS[tag], loop, edge)
-                for (x1, y1, x2, y2), tag, loop, edge in zip(
-                    np.hstack((self.start, self.end)).tolist(),
-                    self.tag.tolist(),
-                    self.loop.tolist(),
-                    self.edge.tolist(),
-                )
-            ]
-            stops = self.counts.cumsum().tolist()
-            self._lists = [
-                fragments[stop - count : stop]
-                for stop, count in zip(stops, self.counts.tolist())
-            ]
-        return self._lists
+    def _ranges(self) -> List[range]:
+        stops = self.counts.cumsum().tolist()
+        return [range(stop - count, stop) for stop, count in zip(stops, self.counts.tolist())]
 
     @property
     def midpoint(self) -> np.ndarray:
@@ -236,15 +165,15 @@ class FragmentLoops(SequenceABC):
 def fragment_region(region: Region, spec: FragmentationSpec) -> FragmentLoops:
     """Fragment every loop of the canonical form of ``region``.
 
-    Returns one fragment list per loop, in loop order, covering each loop's
-    boundary exactly once.  An edge no longer than ``line_end_max_nm``
-    between two convex corners is one line-end fragment; an edge shorter
-    than ``2 * corner_length_nm + min_length_nm`` is one normal fragment.
-    Any other edge gets a corner fragment of ``corner_length_nm`` at each
-    end, tagged by that corner's convexity, and its interior ``run`` is cut
-    at ``corner_length_nm + (run * k) // chunks`` for ``k = 1 .. chunks``,
-    the fewest chunks no longer than ``max_length_nm``.  One array pass
-    does every loop.
+    Returns the fragments of every loop as columns, in loop order,
+    covering each loop's boundary exactly once.  An edge no longer than
+    ``line_end_max_nm`` between two convex corners is one line-end
+    fragment; an edge shorter than ``2 * corner_length_nm +
+    min_length_nm`` is one normal fragment.  Any other edge gets a corner
+    fragment of ``corner_length_nm`` at each end, tagged by that corner's
+    convexity, and its interior ``run`` is cut at ``corner_length_nm +
+    (run * k) // chunks`` for ``k = 1 .. chunks``, the fewest chunks no
+    longer than ``max_length_nm``.  One array pass does every loop.
     """
     spec = spec.validated()
     corner = spec.corner_length_nm
@@ -310,16 +239,12 @@ def _neighbours(sizes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 class _FragmentArrays(NamedTuple):
-    """A fragment set flattened in loop order, for :func:`apply_biases`.
+    """What :func:`apply_biases` reads of a fragment set besides its columns.
 
-    Points are ``(n, 2)`` int64 arrays; a bias ``b`` moves a fragment's
-    ends by ``b * step``, its outward normal.
+    A bias ``b`` moves a fragment's ends by ``b * step``, its outward
+    normal.
     """
 
-    #: Loop sizes, in fragments.
-    counts: np.ndarray
-    start: np.ndarray
-    end: np.ndarray
     step: np.ndarray
     #: Each fragment's successor in its loop, wrapping around.
     succ: np.ndarray
@@ -331,51 +256,33 @@ class _FragmentArrays(NamedTuple):
     opens: np.ndarray
 
 
-def _fragment_arrays(loop_fragments: Sequence[Sequence[Fragment]]) -> _FragmentArrays:
-    """The flat arrays of ``loop_fragments``: a :class:`FragmentLoops`' columns,
-    memoised on it, or any per-loop lists of :class:`Fragment`."""
-    if isinstance(loop_fragments, FragmentLoops):
-        if loop_fragments._arrays is None:
-            loop_fragments._arrays = _rebuild_arrays(
-                loop_fragments.counts, loop_fragments.start, loop_fragments.end
-            )
-        return loop_fragments._arrays
-    counts = np.fromiter(map(len, loop_fragments), dtype=np.intp, count=len(loop_fragments))
-    ends = np.array(
-        [f.start + f.end for f in chain.from_iterable(loop_fragments)], dtype=np.int64
-    ).reshape(-1, 2, 2)
-    return _rebuild_arrays(counts, ends[:, 0], ends[:, 1])
+def _fragment_arrays(loops: FragmentLoops) -> _FragmentArrays:
+    """The rebuild arrays of ``loops``, built on first use and kept on it."""
+    if loops._arrays is None:
+        direction = np.sign(loops.end - loops.start)
+        _, succ = _neighbours(loops.counts)
+        same = (direction == direction[succ]).all(axis=1)
+        live = loops.counts[loops.counts > 0]
+        opens = np.zeros(len(direction), dtype=bool)
+        opens[live.cumsum() - live] = True
+        loops._arrays = _FragmentArrays(
+            step=loops.normal,
+            succ=succ,
+            keeps_end=same[:, None] | (direction == 0),
+            opens=opens,
+        )
+    return loops._arrays
 
 
-def _rebuild_arrays(counts: np.ndarray, start: np.ndarray, end: np.ndarray) -> _FragmentArrays:
-    direction = np.sign(end - start)
-    _, succ = _neighbours(counts)
-    same = (direction == direction[succ]).all(axis=1)
-    live = counts[counts > 0]
-    opens = np.zeros(len(start), dtype=bool)
-    opens[live.cumsum() - live] = True
-    return _FragmentArrays(
-        counts=counts,
-        start=start,
-        end=end,
-        step=direction[:, ::-1] * (1, -1),
-        succ=succ,
-        keeps_end=same[:, None] | (direction == 0),
-        opens=opens,
-    )
-
-
-def apply_biases(
-    loop_fragments: Sequence[Sequence[Fragment]],
-    biases: Union[Sequence[Sequence[int]], np.ndarray],
-) -> Region:
+def apply_biases(loops: FragmentLoops, biases: np.ndarray) -> Region:
     """Rebuild a region from fragments moved outward by per-fragment biases.
 
-    ``loop_fragments`` is a :class:`FragmentLoops`, whose columns are read
-    directly, or any per-loop lists of :class:`Fragment` (such as a slice
-    of one).  ``biases[i][j]`` moves fragment ``j`` of loop ``i`` outward
-    by that many dbu (negative values move material inward); ``biases``
-    may also be one flat integer vector over all fragments in loop order.
+    ``biases`` is one 1-D integer array over the fragments of ``loops`` in
+    loop order: ``biases[i]`` moves fragment ``i`` outward by that many
+    dbu (negative values move material inward).  A bias is whole dbu, as
+    every length of :class:`FragmentationSpec` is, so any other array, a
+    count that does not match or ``loops`` that is no
+    :class:`FragmentLoops` raises :class:`GeometryError`.
     Jogs connect collinear neighbours with different biases; perpendicular
     neighbours are mitred.  Any self-intersection created by large
     negative biases is resolved by a nonzero-winding merge.
@@ -387,29 +294,29 @@ def apply_biases(
     out.  The loops are swept once into slab runs, and the region returned
     holds their rect array and stitches its loops on first use.
     """
-    frags = _fragment_arrays(loop_fragments)
-    shift = frags.step * _flat_biases(frags.counts, biases)[:, None]
-    head = frags.start + shift
-    tail = np.where(frags.keeps_end, frags.end + shift, head[frags.succ])
+    if not isinstance(loops, FragmentLoops):
+        raise GeometryError(f"loops must be a FragmentLoops, got {type(loops).__name__}")
+    if not (
+        isinstance(biases, np.ndarray)
+        and biases.ndim == 1
+        and np.issubdtype(biases.dtype, np.integer)
+    ):
+        got = (
+            f"{biases.dtype} array of shape {biases.shape}"
+            if isinstance(biases, np.ndarray)
+            else type(biases).__name__
+        )
+        raise GeometryError(f"biases must be a 1-D integer array, got {got}")
+    if len(biases) != len(loops.tag):
+        raise GeometryError("bias count must match fragment count")
+    frags = _fragment_arrays(loops)
+    shift = frags.step * biases.astype(np.int64, copy=False)[:, None]
+    head = loops.start + shift
+    tail = np.where(frags.keeps_end, loops.end + shift, head[frags.succ])
     repeat = ~frags.opens & (head == np.roll(tail, 1, axis=0)).all(axis=1)
     keep = np.ones((len(head), 2), dtype=bool)
     keep[:, 0] = ~repeat
     points = np.stack((head, tail), axis=1)[keep]
-    loop_of = np.repeat(np.arange(len(frags.counts)), frags.counts)
-    lengths = 2 * frags.counts - np.bincount(loop_of[repeat], minlength=len(frags.counts))
+    counts = loops.counts
+    lengths = 2 * counts - np.bincount(loops.loop[repeat], minlength=len(counts))
     return Region._from_runs(union_runs(LoopArray(points[:, 0], points[:, 1], lengths)))
-
-
-def _flat_biases(
-    counts: np.ndarray, biases: Union[Sequence[Sequence[int]], np.ndarray]
-) -> np.ndarray:
-    """``biases`` as one int64 vector in loop order, checked against ``counts``."""
-    if isinstance(biases, np.ndarray) and biases.ndim == 1:
-        if len(biases) != counts.sum():
-            raise GeometryError("bias count must match fragment count")
-        return biases.astype(np.int64, copy=False)
-    if len(biases) != len(counts):
-        raise GeometryError("biases must match fragment loops")
-    if any(len(b) != c for b, c in zip(biases, counts.tolist())):
-        raise GeometryError("bias count must match fragment count")
-    return np.fromiter(chain.from_iterable(biases), dtype=np.int64, count=int(counts.sum()))

@@ -8,7 +8,7 @@ child references.  Geometry can be added as
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from ..errors import LayoutError
 from ..geometry import Coord, Rect, Region, Transform
@@ -46,14 +46,10 @@ class Cell:
 
     def add(self, layer: Layer, shape) -> "Cell":
         """Add a shape (Rect, Polygon, Region or vertex loop) on ``layer``."""
-        region = self._shapes.setdefault(layer, Region())
+        region = self._shapes.get(layer)
+        if region is None:
+            region = self._shapes[layer] = Region()
         region._add(shape)
-        return self
-
-    def add_many(self, layer: Layer, shapes: Iterable) -> "Cell":
-        """Add several shapes on ``layer``."""
-        for shape in shapes:
-            self.add(layer, shape)
         return self
 
     def set_region(self, layer: Layer, region: Region) -> "Cell":

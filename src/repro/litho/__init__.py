@@ -45,7 +45,7 @@ from .process_window import (
     run_fem,
 )
 from .pupil import Aberrations, Pupil
-from .raster import Grid, coverage_spectrum, rasterize
+from .raster import Grid, rasterize
 from .resist import ThresholdResist
 from .simulator import LithoConfig, LithoSimulator
 from .source import SourceSpec, annular, coherent, conventional, dipole, quadrupole
@@ -74,7 +74,6 @@ __all__ = [
     "binary_mask",
     "coherent",
     "conventional",
-    "coverage_spectrum",
     "cutline_cd",
     "dipole",
     "dof_at_exposure_latitude",

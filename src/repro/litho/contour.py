@@ -14,13 +14,17 @@ Three measurement styles, in increasing precision:
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import LithoError
 from ..geometry import Region
 from .raster import Grid
+
+#: ``(anchor, outward normal)`` probe sites: a sequence of pairs, or an
+#: ``(n, 2, 2)`` array of them.
+Sites = Union[Sequence[Tuple[Tuple[float, float], Tuple[float, float]]], np.ndarray]
 
 
 def printed_region(develop: np.ndarray, grid: Grid) -> Region:
@@ -118,7 +122,7 @@ def edge_offset_state(
 def edge_offsets_batch(
     image: np.ndarray,
     grid: Grid,
-    sites: Sequence[Tuple[Tuple[float, float], Tuple[float, float]]],
+    sites: Sites,
     threshold: float,
     search_nm: float = 80.0,
     step_nm: float = 1.0,
@@ -127,16 +131,17 @@ def edge_offsets_batch(
 
     One :meth:`Grid.sample` gather evaluates every probe point of every
     site at once -- the hot loop of model-based OPC, where a tile carries
-    hundreds of control sites per iteration.  The arithmetic is the same
-    IEEE operations per element as the scalar path, in the same order,
-    so the results are byte-identical to calling
+    hundreds of control sites per iteration.  ``sites`` is read as one
+    ``(n, 2, 2)`` float array, however it is given.  The arithmetic is
+    the same IEEE operations per element as the scalar path, in the same
+    order, so the results are byte-identical to calling
     :func:`edge_offset_state` per site (the parity tests assert this).
     """
     offsets = _probe_offsets(search_nm, step_nm, "search_nm")
     if len(sites) == 0:
         return []
-    anchors = np.array([anchor for anchor, _normal in sites], dtype=float)
-    normals = np.array([normal for _anchor, normal in sites], dtype=float)
+    pairs = np.asarray(sites, dtype=float).reshape(-1, 2, 2)
+    anchors, normals = pairs[:, 0], pairs[:, 1]
     norms = np.hypot(normals[:, 0], normals[:, 1])
     if np.any(norms == 0):
         raise LithoError("direction must be non-zero")

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import LithoError
 from ..geometry import Region
-from .raster import Grid, coverage_block, distinct_bins, rasterize
+from .raster import Grid, coverage_block, rasterize
 
 #: Nominal intensity transmission of attenuated-PSM absorber (6 percent MoSi).
 ATTPSM_TRANSMISSION = 0.06
@@ -46,15 +46,6 @@ class MaskSpec:
             coverage = rasterize(region, grid)
             result = result * (1.0 - coverage) + transmission * coverage
         return result
-
-    def spectrum(self, grid: Grid, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
-        """``fft2(self.field(grid))[iy, ix]``: the field's DFT at bins ``(iy, ix)``.
-
-        :meth:`spectrum_block` at the bins' distinct rows and columns,
-        gathered.
-        """
-        ky, row, kx, col = distinct_bins(iy, ix)
-        return self.spectrum_block(grid, ky, kx)[row, col]
 
     def spectrum_block(self, grid: Grid, ky: np.ndarray, kx: np.ndarray) -> np.ndarray:
         """``fft2(self.field(grid))`` on rows ``ky`` and columns ``kx``.

@@ -126,18 +126,6 @@ def rasterize(region: Region, grid: Grid) -> np.ndarray:
     return coverage
 
 
-def coverage_spectrum(
-    region: Region, grid: Grid, iy: np.ndarray, ix: np.ndarray
-) -> np.ndarray:
-    """``fft2(rasterize(region, grid))[iy, ix]``, computed from the rects.
-
-    :func:`coverage_block` at the bins' distinct rows and columns,
-    gathered; no raster or full-grid FFT is made.
-    """
-    ky, row, kx, col = distinct_bins(iy, ix)
-    return coverage_block(region, grid, ky, kx)[row, col]
-
-
 def distinct_bins(
     iy: np.ndarray, ix: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

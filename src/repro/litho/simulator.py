@@ -18,6 +18,7 @@ from ..errors import LithoError
 from ..geometry import Rect, Region
 from ..obs import count as _obs_count, observe as _obs_observe
 from .contour import (
+    Sites,
     cutline_cd,
     edge_offsets_batch,
     printed_region,
@@ -292,7 +293,7 @@ class LithoSimulator:
         self,
         mask: MaskSpec,
         window: Rect,
-        sites: Sequence[Tuple[Tuple[float, float], Tuple[float, float]]],
+        sites: Sites,
         defocus_nm: float = 0.0,
         dose: float = 1.0,
         search_nm: float = 80.0,
@@ -315,7 +316,7 @@ class LithoSimulator:
         self,
         mask: MaskSpec,
         window: Rect,
-        sites: Sequence[Tuple[Tuple[float, float], Tuple[float, float]]],
+        sites: Sites,
         defocus_nm: float = 0.0,
         dose: float = 1.0,
         search_nm: float = 80.0,

@@ -5,7 +5,7 @@ Public surface: :func:`mask_data_stats`, :class:`MaskDataStats`,
 primitives re-exported from the geometry kernel.
 """
 
-from ..geometry import decompose_max_rects, fracture
+from ..geometry import decompose_max_rects, fracture_array
 from .cost import MaskCostModel
 from .datavolume import (
     DEFAULT_MAX_FIGURE_NM,
@@ -23,7 +23,7 @@ __all__ = [
     "MaskDataStats",
     "SHOT_RECORD_BYTES",
     "decompose_max_rects",
-    "fracture",
+    "fracture_array",
     "mask_data_stats",
     "write_time_estimate_s",
 ]

@@ -19,7 +19,6 @@ import numpy as np
 
 from ..errors import OPCError
 from ..geometry import (
-    Coord,
     FragmentationSpec,
     Rect,
     Region,
@@ -124,7 +123,7 @@ def model_opc(
     sites, active = _control_sites(loops, window)
     # Control sites are anchored on the *target* edges, so the measured
     # site list never changes across iterations -- build it once.
-    active_sites = [sites[i] for i in active]
+    active_sites = sites[active]
     # One bias per fragment, in loop order; sites outside the window keep
     # EPE 0 and so never move.
     biases = np.zeros(len(sites), dtype=np.int64)
@@ -233,16 +232,20 @@ def model_opc(
 
 def _control_sites(
     loops: FragmentLoops, window: Rect
-) -> Tuple[List[Tuple[Coord, Coord]], np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """One (anchor, outward-normal) EPE site per fragment, on the target edge.
 
-    Returns all sites plus the indices of *active* sites -- those whose
+    Returns all sites, the ``(n, 2, 2)`` int64 stack of each fragment's
+    midpoint and normal, plus the indices of *active* sites -- those whose
     anchor, the fragment's midpoint, lies inside the correction window,
     its boundary included.  Fragments outside the window (context
     geometry that extends past the simulation grid) stay at zero bias and
     are not measured.
     """
-    return loops.sites(), np.flatnonzero(loops.in_window(window))
+    return (
+        np.stack((loops.midpoint, loops.normal), axis=1),
+        np.flatnonzero(loops.in_window(window)),
+    )
 
 
 def _combine_corners(

@@ -1,14 +1,15 @@
 """``apply_biases`` against the retired per-fragment rebuild.
 
 ``apply_biases`` rebuilds the biased loops with array passes over a fragment
-set's flat arrays and sweeps them once into joined slab runs; the region it
-returns holds their rect array and stitches its loops only when asked.  The
-oracle is the retired path: ``_rebuild_loop`` below (a verbatim copy) walks
-each loop's fragments in Python, loops of fewer than 4 points drop out, and
-a nonzero-winding union merges the rest.  The two must give the same
-canonical loops, the same ``rects()`` and the same rect array, also when
-biases make loops cross themselves or each other, turn inside out, or
-shrink below 4 points.
+set's columns and one flat bias vector, and sweeps them once into joined
+slab runs; the region it returns holds their rect array and stitches its
+loops only when asked.  The oracle is the retired path: ``_rebuild_loop``
+below (a verbatim copy) walks each loop's ``Fragment`` list of the retired
+fragmenter with its per-loop biases in Python, loops of fewer than 4
+points drop out, and a nonzero-winding union merges the rest.  The two
+must give the same canonical loops, the same ``rects()`` and the same rect
+array, also when biases make loops cross themselves or each other, turn
+inside out, or shrink below 4 points.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.errors import GeometryError
 from repro.geometry import (
-    Fragment,
     FragmentationSpec,
     Rect,
     Region,
@@ -30,7 +30,10 @@ from repro.geometry import (
     boolean_loops,
     fragment_region,
 )
+from repro.geometry.fragment import FragmentLoops
 from repro.geometry.point import Coord
+
+from .test_fragment_oracle import Fragment, retired_fragment_region
 
 SPAN = 48
 
@@ -72,6 +75,24 @@ def oracle_apply_biases(loop_fragments, biases) -> Region:
     return Region._from_canonical(boolean_loops(loops, [], "union"))
 
 
+def flat(biases: Sequence[Sequence[int]]) -> np.ndarray:
+    """Per-loop biases as the one vector ``apply_biases`` takes."""
+    return np.array([b for loop_biases in biases for b in loop_biases], dtype=np.int64)
+
+
+def first_rows(loops: FragmentLoops, cut: int) -> FragmentLoops:
+    """The fragment set of each loop's first ``cut`` fragments."""
+    keep = np.array([i for rows in loops for i in rows[:cut]], dtype=np.intp)
+    return FragmentLoops(
+        np.minimum(loops.counts, cut),
+        loops.start[keep],
+        loops.end[keep],
+        loops.tag[keep],
+        loops.loop[keep],
+        loops.edge[keep],
+    )
+
+
 def assert_same_region(fast: Region, oracle: Region) -> None:
     rects = np.array(oracle.rects(), dtype=np.int64).reshape(-1, 4)
     array = fast.rect_array()
@@ -102,8 +123,10 @@ def targets(draw):
 
 @st.composite
 def biased_sets(draw, spread):
+    """A fragment set, the retired fragmenter's lists of it, and per-loop biases."""
     region = draw(targets())
     frags = fragment_region(region, SPEC)
+    retired = retired_fragment_region(region, SPEC)
     biases = [
         draw(
             st.lists(
@@ -112,24 +135,24 @@ def biased_sets(draw, spread):
                 max_size=len(fragments),
             )
         )
-        for fragments in frags
+        for fragments in retired
     ]
-    return frags, biases
+    return frags, retired, biases
 
 
 @given(case=biased_sets(spread=3))
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_small_biases_equal_the_retired_rebuild(case):
-    frags, biases = case
-    assert_same_region(apply_biases(frags, biases), oracle_apply_biases(frags, biases))
+    frags, retired, biases = case
+    assert_same_region(apply_biases(frags, flat(biases)), oracle_apply_biases(retired, biases))
 
 
 @given(case=biased_sets(spread=30))
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_crossing_and_inverted_loops_equal_the_retired_rebuild(case):
     """Biases up to 30 on a 48 lattice: loops cross, overlap and turn over."""
-    frags, biases = case
-    assert_same_region(apply_biases(frags, biases), oracle_apply_biases(frags, biases))
+    frags, retired, biases = case
+    assert_same_region(apply_biases(frags, flat(biases)), oracle_apply_biases(retired, biases))
 
 
 @given(case=biased_sets(spread=12), cut=st.integers(min_value=1, max_value=3))
@@ -142,36 +165,37 @@ def test_loops_cut_below_four_points_equal_the_retired_rebuild(case, cut):
     out; a kept open chain may close with a diagonal edge, which both paths
     reject.
     """
-    frags, biases = case
-    short = [fragments[:cut] for fragments in frags]
+    frags, retired, biases = case
+    short = [fragments[:cut] for fragments in retired]
     short_biases = [loop_biases[:cut] for loop_biases in biases]
     try:
         oracle = oracle_apply_biases(short, short_biases)
     except GeometryError:
         with pytest.raises(GeometryError):
-            apply_biases(short, short_biases)
+            apply_biases(first_rows(frags, cut), flat(short_biases))
         return
-    assert_same_region(apply_biases(short, short_biases), oracle)
+    assert_same_region(apply_biases(first_rows(frags, cut), flat(short_biases)), oracle)
 
 
 @given(case=biased_sets(spread=10), again=st.integers(min_value=-10, max_value=10))
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_reused_fragment_set_and_flat_biases(case, again):
-    """A fragment set rebiased twice, the second time as one flat vector."""
-    frags, biases = case
-    assert_same_region(apply_biases(frags, biases), oracle_apply_biases(frags, biases))
+    """A fragment set rebiased twice: the second call reads the arrays the first built."""
+    frags, retired, biases = case
+    assert_same_region(apply_biases(frags, flat(biases)), oracle_apply_biases(retired, biases))
     shifted = [[b + again for b in loop_biases] for loop_biases in biases]
-    flat = np.array([b for loop_biases in shifted for b in loop_biases], dtype=np.int64)
-    assert_same_region(apply_biases(frags, flat), oracle_apply_biases(frags, shifted))
+    assert_same_region(
+        apply_biases(frags, flat(shifted)), oracle_apply_biases(retired, shifted)
+    )
 
 
 @given(case=biased_sets(spread=8), other=targets(), op=st.sampled_from(["&", "|", "-", "^"]))
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_booleans_read_the_rect_array(case, other, op):
     """An unstitched iterate in a boolean gives the stitched iterate's result."""
-    frags, biases = case
-    lazy = apply_biases(frags, biases)
-    stitched = oracle_apply_biases(frags, biases)
+    frags, retired, biases = case
+    lazy = apply_biases(frags, flat(biases))
+    stitched = oracle_apply_biases(retired, biases)
     apply = {
         "&": lambda a, b: a & b,
         "|": lambda a, b: a | b,
@@ -184,15 +208,19 @@ def test_booleans_read_the_rect_array(case, other, op):
 
 
 def test_empty_and_degenerate_sets():
-    assert apply_biases([], []).is_empty
-    assert apply_biases([[]], [[]]).is_empty
-    frags = fragment_region(Region(Rect(0, 0, 40, 40)), SPEC)
+    none = np.zeros(0, dtype=np.int64)
+    assert apply_biases(fragment_region(Region(), SPEC), none).is_empty
+    square = Region(Rect(0, 0, 40, 40))
+    frags = fragment_region(square, SPEC)
+    # One loop of no fragments.
+    assert apply_biases(first_rows(frags, 0), none).is_empty
     # Every side pulled in past the middle: the square turns inside out.
-    inverted = [[-30] * len(frags[0])]
+    retired = retired_fragment_region(square, SPEC)
+    inverted = [[-30] * len(retired[0])]
     assert_same_region(
-        apply_biases(frags, inverted), oracle_apply_biases(frags, inverted)
+        apply_biases(frags, flat(inverted)), oracle_apply_biases(retired, inverted)
     )
     with pytest.raises(GeometryError):
-        apply_biases(frags, np.zeros(len(frags[0]) + 1, dtype=np.int64))
+        apply_biases(frags, np.zeros(len(frags.tag) + 1, dtype=np.int64))
     with pytest.raises(GeometryError):
-        apply_biases(frags, [[0] * (len(frags[0]) - 1)])
+        apply_biases(frags, np.zeros(len(frags.tag) - 1, dtype=np.int64))

@@ -12,9 +12,8 @@ from repro.geometry import (
     Rect,
     Region,
     decompose_max_rects,
-    decompose_rects,
     feature_widths,
-    fracture,
+    fracture_array,
 )
 
 
@@ -25,7 +24,7 @@ class TestDecompose:
 
     def test_max_rects_not_more_than_slabs(self):
         ell = Region(Polygon([(0, 0), (40, 0), (40, 20), (20, 20), (20, 40), (0, 40)]))
-        assert len(decompose_max_rects(ell)) <= len(decompose_rects(ell))
+        assert len(decompose_max_rects(ell)) <= len(ell.rects())
 
     def test_max_rects_cover_exactly(self):
         r = Region(Rect(0, 0, 100, 100)) - Region(Rect(30, 30, 70, 70))
@@ -35,17 +34,18 @@ class TestDecompose:
 
     def test_fracture_respects_max_figure(self):
         r = Region(Rect(0, 0, 1000, 300))
-        figs = fracture(r, 256)
-        assert all(f.width <= 256 and f.height <= 256 for f in figs)
-        assert sum(f.area for f in figs) == r.area
+        figs = fracture_array(r, 256)
+        width, height = figs[:, 2] - figs[:, 0], figs[:, 3] - figs[:, 1]
+        assert (width <= 256).all() and (height <= 256).all()
+        assert (width * height).sum() == r.area
 
     def test_fracture_small_feature_unsplit(self):
         r = Region(Rect(0, 0, 100, 100))
-        assert fracture(r, 256) == [Rect(0, 0, 100, 100)]
+        assert fracture_array(r, 256).tolist() == [[0, 0, 100, 100]]
 
     def test_fracture_rejects_bad_max(self):
         with pytest.raises(GeometryError):
-            fracture(Region(Rect(0, 0, 10, 10)), 0)
+            fracture_array(Region(Rect(0, 0, 10, 10)), 0)
 
 
 class TestGridIndex:

@@ -1,4 +1,4 @@
-"""``fracture`` and ``decompose_max_rects`` against the retired per-rect loops.
+"""``fracture_array`` and ``decompose_max_rects`` against the retired per-rect loops.
 
 Both now run as array passes over the region's slab rect array: one
 ``np.lexsort`` by ``(y1, y2, x1)``, a run merge of rects that share their
@@ -6,10 +6,11 @@ y-extent and touch in x, and each merged rect split into columns by rows
 at ``lo + (span * k) // pieces``; ``mask_data_stats`` counts shots from
 that array with no ``Rect``.  The oracle is the retired path, kept here
 verbatim: ``decompose_max_rects`` sorting ``Rect`` objects and fusing them
-one by one, ``_split_rect`` and ``_cuts``.  The two must give the same
-``Rect`` lists, in the same order, with Python ``int`` coordinates: on
-soups with holes, slabs that touch across strips, spans at multiples of
-the maximum figure and one either side, and the empty region.
+one by one, ``_split_rect`` and ``_cuts``, and ``fracture``, the ``Rect``
+list form of ``fracture_array``.  They must give the same figures, in the
+same order, with Python ``int`` coordinates in the lists: on soups with
+holes, slabs that touch across strips, spans at multiples of the maximum
+figure and one either side, and the empty region.
 """
 
 from __future__ import annotations
@@ -22,13 +23,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GeometryError
-from repro.geometry import Rect, Region, decompose_max_rects, fracture, fracture_array
+from repro.geometry import Rect, Region, decompose_max_rects, fracture_array
+from repro.geometry.booleans import rect_list
 from repro.mask import mask_data_stats
 
 SEEDED = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
 # -- the retired fracture, verbatim --------------------------------------------
+
+
+def fracture(region: Region, max_figure: int) -> List[Rect]:
+    """Fracture a region into writer figures no larger than ``max_figure``.
+
+    Models mask data preparation for a variable-shaped-beam (VSB) or raster
+    writer: the merged rectangle decomposition is split so that no figure
+    exceeds ``max_figure`` dbu on either axis.  Figures come rect by rect
+    of :func:`decompose_max_rects`, each rect's pieces by column, then by
+    row.
+    """
+    return rect_list(fracture_array(region, max_figure))
 
 
 def _retired_decompose_max_rects(region: Region) -> List[Rect]:

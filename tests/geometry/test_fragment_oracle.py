@@ -1,20 +1,21 @@
 """``fragment_region`` against the retired per-edge fragmenter.
 
 ``fragment_region`` fragments every canonical loop in one integer array
-pass and returns a ``FragmentLoops``: per-fragment columns whose
-``Fragment`` lists are built on first access.  The oracle is the retired
-path, kept here verbatim: ``_fragment_loop`` walks each loop's edges and
-``_fragment_edge`` cuts one edge with ``_along``, ``_sign`` and
-``_is_convex``.  The two must give the same lists, in the same order, with
-the same tags, loop and edge indices and Python ``int`` coordinates, and
-the columns must agree with the lists: on rectilinear soups with holes and
-pinched vertices, with edges exactly at every threshold of the spec, on
-the four specs the flows use and on random integer specs.
+pass and returns a ``FragmentLoops``: per-fragment columns, and as a
+sequence each loop's range of rows.  The oracle is the retired path, kept
+here verbatim: the ``Fragment`` dataclass, ``_fragment_loop`` walking each
+loop's edges and ``_fragment_edge`` cutting one edge with ``_along``,
+``_sign`` and ``_is_convex``.  The columns must equal the retired lists,
+in the same order, with the same tags, loop and edge indices: on
+rectilinear soups with holes and pinched vertices, with edges exactly at
+every threshold of the spec, on the four specs the flows use and on
+random integer specs.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import (
-    Fragment,
     FragmentationSpec,
     FragmentTag,
     Polygon,
@@ -31,6 +31,7 @@ from repro.geometry import (
     apply_biases,
     fragment_region,
 )
+from repro.geometry import fragment as fragment_module
 from repro.geometry.fragment import TAGS
 from repro.geometry.point import Coord
 from repro.opc.model_opc import DEFAULT_MODEL_FRAGMENTATION
@@ -50,6 +51,61 @@ SPECS_IN_USE = (
 
 
 # -- the retired fragmenter, verbatim ------------------------------------------
+
+
+@dataclass(frozen=True)
+class Fragment:
+    """A directed piece of a polygon edge.
+
+    ``start -> end`` runs along the loop direction; ``normal`` is the unit
+    outward normal.  ``tag`` records the geometric role used by OPC rules.
+    """
+
+    start: Coord
+    end: Coord
+    tag: FragmentTag
+    loop_index: int
+    edge_index: int
+
+    @property
+    def direction(self) -> Coord:
+        """Unit direction along the loop."""
+        dx = self.end[0] - self.start[0]
+        dy = self.end[1] - self.start[1]
+        return ((dx > 0) - (dx < 0), (dy > 0) - (dy < 0))
+
+    @property
+    def normal(self) -> Coord:
+        """Unit outward normal (right-hand normal of the direction)."""
+        dx, dy = self.direction
+        return (dy, -dx)
+
+    @property
+    def length(self) -> int:
+        """Fragment length in dbu."""
+        return abs(self.end[0] - self.start[0]) + abs(self.end[1] - self.start[1])
+
+    @property
+    def midpoint(self) -> Coord:
+        """Midpoint of the fragment (floored to the grid)."""
+        return (
+            (self.start[0] + self.end[0]) // 2,
+            (self.start[1] + self.end[1]) // 2,
+        )
+
+    def control_point(self, offset: int = 0) -> Coord:
+        """The EPE measurement site: midpoint pushed ``offset`` dbu outward."""
+        nx, ny = self.normal
+        mx, my = self.midpoint
+        return (mx + nx * offset, my + ny * offset)
+
+    def shifted(self, bias: int) -> Tuple[Coord, Coord]:
+        """Endpoint pair after moving the fragment ``bias`` dbu outward."""
+        nx, ny = self.normal
+        return (
+            (self.start[0] + nx * bias, self.start[1] + ny * bias),
+            (self.end[0] + nx * bias, self.end[1] + ny * bias),
+        )
 
 
 def _fragment_loop(
@@ -153,7 +209,6 @@ def retired_fragment_region(region: Region, spec: FragmentationSpec) -> List[Lis
 def assert_same_fragments(region: Region, spec: FragmentationSpec) -> None:
     fast = fragment_region(region, spec)
     want = retired_fragment_region(region, spec)
-    # The columns first, before any list is built.
     flat = [f for fragments in want for f in fragments]
     assert fast.counts.tolist() == [len(fragments) for fragments in want]
     assert fast.start.dtype == np.int64 and fast.start.shape == (len(flat), 2)
@@ -167,17 +222,6 @@ def assert_same_fragments(region: Region, spec: FragmentationSpec) -> None:
     assert [f.direction for f in flat] == [
         (_sign(f.end[0] - f.start[0]), _sign(f.end[1] - f.start[1])) for f in flat
     ]
-    # Then the lazy lists, whole, indexed and sliced.
-    assert len(fast) == len(want)
-    assert list(fast) == want
-    assert [fast[i] for i in range(len(fast))] == want
-    assert fast[1:] == want[1:] and fast[::-1] == want[::-1]
-    assert all(
-        type(c) is int
-        for fragments in fast
-        for f in fragments
-        for c in f.start + f.end + (f.loop_index, f.edge_index)
-    )
 
 
 # -- strategies ------------------------------------------------------------------
@@ -237,6 +281,28 @@ def cases(draw):
 def test_equals_the_retired_fragmenter(case):
     spec, region = case
     assert_same_fragments(region, spec)
+
+
+@SEEDED
+@given(case=cases())
+def test_sequence_is_each_loops_range_of_rows(case):
+    """What fragment counts read as ``sum(len(loop) for loop in loops)``:
+    ``len`` is the loop count and each item is the ``range`` of its loop's
+    rows of the columns, with no per-fragment object built."""
+    spec, region = case
+    loops = fragment_region(region, spec)
+    want = retired_fragment_region(region, spec)
+    assert len(loops) == len(want) == len(loops.counts)
+    ranges = list(loops)
+    assert all(type(rows) is range for rows in ranges)
+    assert [len(rows) for rows in loops] == loops.counts.tolist()
+    assert sum(len(rows) for rows in loops) == len(loops.tag)
+    for index, (rows, fragments) in enumerate(zip(ranges, want)):
+        assert loops[index] == rows
+        assert loops.loop[rows].tolist() == [index] * len(rows)
+        assert loops.start[rows].tolist() == [list(f.start) for f in fragments]
+        assert loops.end[rows].tolist() == [list(f.end) for f in fragments]
+    assert not hasattr(fragment_module, "Fragment")
 
 
 @pytest.mark.parametrize("spec", SPECS_IN_USE, ids=["model", "rule", "retarget", "epe"])

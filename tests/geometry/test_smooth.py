@@ -76,11 +76,11 @@ class TestSmoothJogs:
 
     def test_shot_count_reduced_on_opc_output(self):
         """The use case: OPC staircases fracture into fewer shots."""
-        from repro.geometry import fracture
+        from repro.geometry import fracture_array
 
         r = staircase(step=4, runs=8, run_len=80)
         smoothed = smooth_jogs(r, 6)
-        assert len(fracture(smoothed, 2000)) < len(fracture(r, 2000))
+        assert len(fracture_array(smoothed, 2000)) < len(fracture_array(r, 2000))
 
 
 @given(

@@ -30,6 +30,7 @@ from repro.litho import (
     krf_annular,
 )
 from repro.litho.imaging import _band
+from repro.litho.raster import distinct_bins
 
 ENGINE = SOCSEngine(krf_annular(), kernel_store=KernelStore.from_env())
 
@@ -50,7 +51,8 @@ def retired_image(mask, grid, defocus_nm=0.0, blur=None):
     if isinstance(mask, np.ndarray):
         support_values = np.fft.fft2(mask)[support]
     else:
-        support_values = mask.spectrum(grid, *support)
+        ky, row, kx, col = distinct_bins(*support)
+        support_values = mask.spectrum_block(grid, ky, kx)[row, col]
     my, half_y, iy = _band(kernels.support_iy, grid.ny)
     mx, half_x, ix = _band(kernels.support_ix, grid.nx)
     fields = np.zeros((len(kernels.eigenvalues), my, mx), dtype=complex)

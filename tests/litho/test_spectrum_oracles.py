@@ -2,10 +2,12 @@
 
 A SOCS image needs the mask spectrum only at the kernel support, and the
 resist blur is a multiply on the band the engine already upsamples.  So
-`coverage_spectrum` and `MaskSpec.spectrum` take that spectrum from the
-rects, `ThresholdResist.transfer` is the DFT of the blur kernel, and
-`printed_region` and `edge_offsets_batch` are array passes.  What they
-replaced lives on here:
+`coverage_block` and `MaskSpec.spectrum_block` take that spectrum from the
+rects, on the support's distinct rows and columns, and the engine gathers
+the support from that block as `coverage_spectrum` and `mask_spectrum`
+below (the retired gathers) do; `ThresholdResist.transfer` is the DFT of
+the blur kernel, and `printed_region` and `edge_offsets_batch` are array
+passes.  What they replaced lives on here:
 
 * the spectrum is `fft2` of the raster (`rasterize`, `MaskSpec.field`),
   matched to 1e-12 of the spectrum's largest magnitude at the support,
@@ -40,13 +42,13 @@ from repro.litho import (
     altpsm_mask,
     attpsm_mask,
     binary_mask,
-    coverage_spectrum,
     edge_offset_state,
     edge_offsets_batch,
     krf_annular,
     printed_region,
     rasterize,
 )
+from repro.litho.raster import coverage_block, distinct_bins
 
 TOL = 1e-12
 
@@ -55,6 +57,28 @@ STORE = KernelStore.from_env()
 SEEDED = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 ENGINE = SOCSEngine(krf_annular(), kernel_store=STORE)
+
+
+def coverage_spectrum(
+    region: Region, grid: Grid, iy: np.ndarray, ix: np.ndarray
+) -> np.ndarray:
+    """``fft2(rasterize(region, grid))[iy, ix]``, computed from the rects.
+
+    :func:`coverage_block` at the bins' distinct rows and columns,
+    gathered; no raster or full-grid FFT is made.
+    """
+    ky, row, kx, col = distinct_bins(iy, ix)
+    return coverage_block(region, grid, ky, kx)[row, col]
+
+
+def mask_spectrum(mask: MaskSpec, grid: Grid, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
+    """``fft2(mask.field(grid))[iy, ix]``: the field's DFT at bins ``(iy, ix)``.
+
+    :meth:`MaskSpec.spectrum_block` at the bins' distinct rows and columns,
+    gathered.
+    """
+    ky, row, kx, col = distinct_bins(iy, ix)
+    return mask.spectrum_block(grid, ky, kx)[row, col]
 
 
 def kernel_bins(grid):
@@ -181,7 +205,7 @@ class TestMaskSpectrum:
         mask = MASKS[kind](features, srafs)
         iy, ix = kernel_bins(grid)
         full = np.fft.fft2(mask.field(grid))
-        assert_spectrum_close(mask.spectrum(grid, iy, ix), full, iy, ix)
+        assert_spectrum_close(mask_spectrum(mask, grid, iy, ix), full, iy, ix)
 
 
 resist_st = st.builds(

@@ -8,8 +8,9 @@ with the largest applied move must be equal, also on exact ``.5`` rounding
 ties (``np.rint`` and ``round`` both round half to even), on sites missing
 in the dark and in the bright state, for dark and bright features, and
 through the total-move clamp.  A whole multi-corner `model_opc` run must
-also equal the retired loop built from these copies and the geometry
-oracle's per-fragment rebuild.
+also equal the retired loop built from these copies, the retired
+fragmenter and control sites, and the geometry oracle's per-fragment
+rebuild.
 """
 
 from __future__ import annotations
@@ -20,18 +21,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import Rect, Region, fragment_region
+from repro.geometry import Rect, Region
 from repro.litho import binary_mask
 from repro.opc import ModelOPCRecipe, model_opc
-from repro.opc.model_opc import (
-    _combine_corners,
-    _control_sites,
-    _summarise,
-    _update_biases,
-)
+from repro.opc.model_opc import _combine_corners, _summarise, _update_biases
 from repro.opc.report import IterationStats
 
 from ..geometry.test_bias_oracle import oracle_apply_biases
+from ..geometry.test_fragment_oracle import retired_fragment_region
+from .test_fragment_consumers_oracle import retired_control_sites
 
 
 def retired_combine_corners(
@@ -202,8 +200,8 @@ def test_missing_sites_push_by_feature_polarity():
 def retired_model_opc(target, simulator, window, recipe, dose):
     """The retired iteration loop, from the verbatim copies above."""
     merged = target.merged()
-    loops = fragment_region(merged, recipe.fragmentation)
-    sites, active = _control_sites(loops, window)
+    loops = retired_fragment_region(merged, recipe.fragmentation)
+    sites, active = retired_control_sites(loops, window)
     active = active.tolist()
     active_sites = [sites[i] for i in active]
     biases = [[0] * len(fragments) for fragments in loops]

@@ -6,11 +6,12 @@ arrays, the bias table is one ``searchsorted`` over its bounds, line-end
 extensions and hammerheads are array adds on each line end's wrapped
 neighbours in its loop, retargeting's space and width deficits are array
 ops, and ``_control_sites`` takes its anchors, normals and inclusive
-window mask from the columns.  The per-fragment Python they replaced
-lives on here, verbatim: the table's ``bias_for`` loop, ``rule_opc``'s and
-``retarget``'s per-loop bias loops and ``_control_sites``' loop, on the
-retired fragmenter's lists.  The biases handed to ``apply_biases`` must
-be equal, and so must the corrected geometry, including hammerheads on a
+window mask from the columns, the sites as one ``(n, 2, 2)`` int64
+array.  The per-fragment Python they replaced lives on here, verbatim:
+the table's ``bias_for`` loop, ``rule_opc``'s and ``retarget``'s per-loop
+bias loops and ``_control_sites``' loop, on the retired fragmenter's
+lists.  The biases handed to ``apply_biases`` must be equal, and so must
+the corrected geometry, including hammerheads on a
 loop's first and last fragment, line ends that share a neighbour, edges
 facing nothing within range, and spaces exactly at a bin bound.
 """
@@ -259,9 +260,9 @@ def test_hammerheads_wrap_around_and_share_neighbours():
     ]
     loops = [fragment_region(t, DEFAULT_RULE_FRAGMENTATION) for t in targets]
     line_end = FragmentTag.LINE_END
-    assert loops[0][0][0].tag == line_end
-    assert loops[1][0][-1].tag == line_end
-    assert all(f.tag == line_end for f in loops[2][0])
+    assert loops[0].tags(loops[0][0])[0] == line_end
+    assert loops[1].tags(loops[1][0])[-1] == line_end
+    assert all(tag == line_end for tag in loops[2].tags(loops[2][0]))
     for target in targets:
         for measure_range_nm in (100, 4000):
             recipe = RuleOPCRecipe(
@@ -342,6 +343,6 @@ def test_control_sites_equal_the_retired_loop(data):
     want_sites, want_active = retired_control_sites(
         retired_fragment_region(target, DEFAULT_MODEL_FRAGMENTATION), window
     )
-    assert sites == want_sites
-    assert all(type(c) is int for anchor, normal in sites for c in anchor + normal)
+    assert sites.tolist() == [[list(anchor), list(normal)] for anchor, normal in want_sites]
+    assert sites.dtype == np.int64 and sites.shape == (len(want_sites), 2, 2)
     assert active.dtype == want_active.dtype and active.tolist() == want_active.tolist()
