@@ -24,6 +24,7 @@ transmission, so an all-clear mask images to intensity 1.0.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -169,6 +170,8 @@ class SOCSEngine:
         mmap load, counted as a hit), then a fresh build (a miss, pushed
         back into the store so the next process skips it).
         """
+        if not math.isfinite(defocus_nm):
+            raise LithoError(f"defocus must be finite, got {defocus_nm}")
         key = (grid.ny, grid.nx, float(grid.pixel_nm), float(defocus_nm))
         kernels = self._cache.get(key)
         if kernels is not None:

@@ -80,8 +80,8 @@ class ThresholdResist:
         Dose scales the whole image linearly, which is equivalent to
         dividing the threshold.
         """
-        if dose <= 0:
-            raise LithoError(f"dose must be positive, got {dose}")
+        if not (math.isfinite(dose) and dose > 0):
+            raise LithoError(f"dose must be finite and positive, got {dose}")
         return self.threshold / dose
 
     def resist_remains(

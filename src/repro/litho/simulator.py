@@ -23,7 +23,7 @@ from .contour import (
     edge_offsets_batch,
     printed_region,
 )
-from .imaging import AbbeEngine, SOCSEngine
+from .imaging import SOCSEngine
 from .kernel_cache import KernelStore
 from .masks import MaskSpec
 from .optics import OpticalSettings
@@ -38,30 +38,28 @@ GRID_PX_BUCKETS = (64.0, 128.0, 192.0, 256.0, 384.0, 512.0, 768.0,
 
 @dataclass(frozen=True)
 class LithoConfig:
-    """Everything needed to turn a mask into printed shapes."""
+    """Everything needed to turn a mask into printed shapes: every image,
+    whatever the window's size, is a SOCS image of ``max_kernels`` kernels
+    at most, on a grid padded by ``ambit_nm`` (whole dbu)."""
 
     optics: OpticalSettings
     resist: ThresholdResist = field(default_factory=ThresholdResist)
     pixel_nm: float = 8.0
     ambit_nm: int = 600
-    engine: str = "socs"
     aberrations: Aberrations = field(default_factory=Aberrations)
     max_kernels: int = 24
-    #: Above this Hopkins frequency-support size, single images fall back
-    #: to the Abbe engine.  Kernel builds are cheap at any support size;
-    #: the limit stays because moving those windows to truncated SOCS
-    #: would change their images.
-    socs_support_limit: int = 3000
 
     def __post_init__(self) -> None:
-        if self.engine not in ("socs", "abbe"):
-            raise LithoError(f"engine must be 'socs' or 'abbe', got {self.engine!r}")
         if not (math.isfinite(self.pixel_nm) and self.pixel_nm > 0):
             raise LithoError(
                 f"pixel size must be finite and positive, got {self.pixel_nm}"
             )
-        if self.ambit_nm < 0:
-            raise LithoError(f"ambit must be >= 0, got {self.ambit_nm}")
+        if not (isinstance(self.ambit_nm, (int, np.integer)) and self.ambit_nm >= 0):
+            raise LithoError(f"ambit must be whole dbu >= 0, got {self.ambit_nm!r}")
+        if not (isinstance(self.max_kernels, (int, np.integer)) and self.max_kernels >= 1):
+            raise LithoError(
+                f"max_kernels must be an integer >= 1, got {self.max_kernels!r}"
+            )
 
     def with_resist(self, resist: ThresholdResist) -> "LithoConfig":
         """A copy with a different resist model."""
@@ -86,7 +84,6 @@ class LithoSimulator:
             max_kernels=config.max_kernels,
             kernel_store=KernelStore.from_env(),
         )
-        self._abbe = AbbeEngine(config.optics, aberrations=config.aberrations)
 
     @property
     def kernel_store(self) -> Optional[KernelStore]:
@@ -103,13 +100,9 @@ class LithoSimulator:
         kernel sets ensured (grids quantise, so a whole tile grid usually
         collapses to one or two shapes).
         """
-        if self.config.engine != "socs":
-            return 0
         seen = set()
         for window in windows:
             grid = self.grid_for(window)
-            if self._support_too_large(grid):
-                continue
             key = (grid.ny, grid.nx)
             if key in seen:
                 continue
@@ -140,31 +133,13 @@ class LithoSimulator:
     def _image(
         self, mask: MaskSpec, grid: Grid, defocus_nm: float, latent: bool
     ) -> np.ndarray:
-        """The aerial image on ``grid``, resist-blurred when ``latent``.
-
-        SOCS takes the blur as a multiply on its band; the Abbe image is
-        blurred by the resist's own :meth:`ThresholdResist.latent_image`,
-        which applies the same transfer.
-        """
+        """The SOCS image on ``grid``, resist-blurred on its band when ``latent``."""
         _obs_count("sim.aerial_calls")
         _obs_observe(
             "sim.grid_px", float(max(grid.nx, grid.ny)), GRID_PX_BUCKETS
         )
-        resist = self.config.resist
-        if self.config.engine == "abbe" or self._support_too_large(grid):
-            image = self._abbe.image(mask.field(grid), grid, defocus_nm)
-            return resist.latent_image(image, grid) if latent else image
-        blur = resist.transfer(grid) if latent else None
+        blur = self.config.resist.transfer(grid) if latent else None
         return self._socs.image(mask, grid, defocus_nm, blur=blur)
-
-    def _support_too_large(self, grid: Grid) -> bool:
-        """Whether the Hopkins support outgrows the SOCS build budget."""
-        optics = self.config.optics
-        radius = (1.0 + optics.source.sigma_max) * optics.f_max
-        dfx = 1.0 / (grid.nx * grid.pixel_nm)
-        dfy = 1.0 / (grid.ny * grid.pixel_nm)
-        support = 3.14159 * radius * radius / (dfx * dfy)
-        return support > self.config.socs_support_limit
 
     def latent_image(
         self, mask: MaskSpec, window: Rect, defocus_nm: float = 0.0
@@ -199,8 +174,8 @@ class LithoSimulator:
         grid: Optional[Grid] = None
         total: Optional[np.ndarray] = None
         for mask, dose in exposures:
-            if dose <= 0:
-                raise LithoError(f"exposure dose must be positive, got {dose}")
+            if not (math.isfinite(dose) and dose > 0):
+                raise LithoError(f"exposure dose must be finite and positive, got {dose}")
             exposure_grid, latent = self.latent_image(mask, window, defocus_nm)
             if grid is None:
                 grid, total = exposure_grid, dose * latent
@@ -387,9 +362,14 @@ class LithoSimulator:
 
         Bisects on the monotonic CD(dose) relation; this is how a process is
         anchored before measuring anything else ("dose to size on the dense
-        line").  Raises :class:`LithoError` when the target is unreachable
-        inside ``dose_range``.
+        line").  Raises :class:`LithoError` when ``dose_range`` is not
+        ``0 < lo < hi`` or the target is unreachable inside it.
         """
+        lo, hi = dose_range
+        if not 0 < lo < hi < math.inf:
+            raise LithoError(
+                f"dose range must be finite with 0 < lo < hi, got {dose_range}"
+            )
         grid, latent = self.latent_image(mask, window)
 
         def cd_at(dose: float) -> Optional[float]:
@@ -402,7 +382,6 @@ class LithoSimulator:
                 bright_feature=bright_feature,
             )
 
-        lo, hi = dose_range
         # Walk the endpoints inward past doses where the feature fails to
         # resolve at all (threshold outside the image's dynamic range).
         probes = 16

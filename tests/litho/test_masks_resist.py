@@ -102,6 +102,9 @@ class TestThresholdResist:
         assert resist.effective_threshold(1.5) == pytest.approx(0.2)
         with pytest.raises(LithoError):
             resist.effective_threshold(0.0)
+        for dose in (float("nan"), float("inf")):
+            with pytest.raises(LithoError, match="dose"):
+                resist.effective_threshold(dose)
 
     def test_latent_image_blur(self, grid):
         resist = ThresholdResist(diffusion_nm=30.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import LithoError
-from repro.geometry import Region
+from repro.geometry import Rect, Region
 from repro.litho import (
     FocusExposureMatrix,
     LithoConfig,
@@ -27,16 +27,32 @@ from repro.litho import (
         ("pixel_nm", float("inf")),
         ("diffusion_nm", float("nan")),
         ("diffusion_nm", float("inf")),
+        ("ambit_nm", 600.5),
+        ("ambit_nm", 600.0),
+        ("ambit_nm", float("nan")),
+        ("ambit_nm", -1),
+        ("max_kernels", 2.5),
+        ("max_kernels", 0),
+        ("max_kernels", float("nan")),
     ],
 )
 def test_bad_litho_numbers_fail_at_construction(field, value):
-    """A pixel size or diffusion length that no grid or kernel can use is
-    rejected where it is given, not later inside a simulation."""
+    """A pixel size, diffusion length, ambit or kernel count that no grid
+    or kernel can use is rejected where it is given, not later inside a
+    simulation.  The ambit is whole dbu, so padded grids start on it."""
     with pytest.raises(LithoError):
-        if field == "pixel_nm":
-            LithoConfig(optics=krf_annular(), pixel_nm=value)
-        else:
+        if field == "diffusion_nm":
             ThresholdResist(diffusion_nm=value)
+        else:
+            LithoConfig(optics=krf_annular(), **{field: value})
+
+
+def test_numpy_integer_ambit_and_kernel_count_are_accepted():
+    config = LithoConfig(
+        optics=krf_annular(), ambit_nm=np.int64(600), max_kernels=np.int32(24)
+    )
+    grid = LithoSimulator(config).grid_for(Rect(0, 0, 1000, 1000))
+    assert grid.x0 == -600
 
 
 class TestSimulatorFacade:
@@ -70,6 +86,30 @@ class TestSimulatorFacade:
                 dose_range=(0.9, 1.1),
             )
 
+    @pytest.mark.parametrize(
+        "dose_range",
+        [(3.0, 0.4), (0.0, 3.0), (1.0, 1.0), (float("nan"), 3.0), (0.4, float("inf"))],
+    )
+    def test_dose_to_size_rejects_a_bad_range(
+        self, simulator, dense_mask, window, dose_range
+    ):
+        with pytest.raises(LithoError, match="0 < lo < hi"):
+            simulator.dose_to_size(
+                dense_mask, window, (110, 0), target_cd=180.0, dose_range=dose_range
+            )
+
+    @pytest.mark.parametrize("dose", [float("nan"), float("inf")])
+    def test_non_finite_dose_raises(self, simulator, dense_mask, window, dose):
+        with pytest.raises(LithoError, match="dose"):
+            simulator.cd(dense_mask, window, (110, 0), dose=dose)
+        with pytest.raises(LithoError, match="dose"):
+            simulator.printed_double_exposure([(dense_mask, dose)], window)
+
+    @pytest.mark.parametrize("defocus_nm", [float("nan"), float("inf")])
+    def test_non_finite_defocus_raises(self, simulator, dense_mask, window, defocus_nm):
+        with pytest.raises(LithoError, match="defocus"):
+            simulator.cd(dense_mask, window, (110, 0), defocus_nm=defocus_nm)
+
     def test_edge_placement_errors(self, simulator, dense_mask, window):
         # The centre line spans x in [0, 180]: edges at x=0 and x=180.
         sites = [((0.0, 0.0), (-1.0, 0.0)), ((180.0, 0.0), (1.0, 0.0))]
@@ -82,10 +122,6 @@ class TestSimulatorFacade:
         cd0 = simulator.cd(dense_mask, window, (110, 0))
         cd_def = simulator.cd(dense_mask, window, (110, 0), defocus_nm=500.0)
         assert cd_def is None or cd_def < cd0
-
-    def test_engine_validation(self):
-        with pytest.raises(LithoError):
-            LithoConfig(optics=krf_annular(), engine="magic")
 
 
 class TestProcessWindow:

@@ -34,8 +34,6 @@ from repro.geometry import Rect, Region
 from repro.litho import (
     Grid,
     KernelStore,
-    LithoConfig,
-    LithoSimulator,
     MaskSpec,
     SOCSEngine,
     ThresholdResist,
@@ -316,14 +314,6 @@ class TestSimulatorLatent:
         assert np.abs(latent[inner] - reference[inner]).max() <= TOL
         # The ring the blur now wraps lies in the ambit, not the window.
         assert simulator.config.ambit_nm >= r * grid.pixel_nm
-
-    def test_abbe_path_blurs_with_the_same_transfer(self, optics, dense_mask):
-        config = LithoConfig(optics=optics, pixel_nm=16.0, ambit_nm=200, engine="abbe")
-        simulator = LithoSimulator(config)
-        window = Rect(-300, -300, 300, 300)
-        grid, latent = simulator.latent_image(dense_mask, window)
-        _, aerial = simulator.aerial_image(dense_mask, window)
-        assert np.array_equal(latent, config.resist.latent_image(aerial, grid))
 
 
 class TestPrintedRegion:

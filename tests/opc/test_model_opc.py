@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import OPCError
+from repro.errors import LithoError, OPCError
+from repro.flow import CorrectionLevel, correct_region
 from repro.geometry import Rect, Region
 from repro.litho import binary_mask
 from repro.opc import ModelOPCRecipe, model_opc
@@ -113,6 +114,27 @@ class TestRecipeHandling:
             recipe.validated()
         with pytest.raises(OPCError, match=message):
             model_opc(iso_line, simulator, Rect(-600, -600, 800, 600), recipe)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"dose": float("nan")}, "dose"),
+            ({"dose": float("inf")}, "dose"),
+            ({"defocus_nm": float("nan")}, "defocus"),
+        ],
+        ids=["dose-nan", "dose-inf", "defocus-nan"],
+    )
+    def test_non_finite_dose_or_defocus_raises(self, simulator, kwargs, message):
+        """Neither value may become a mask: a NaN or infinite dose develops
+        every site as missing and would ship the drawn target, and a NaN
+        defocus would reach the kernel SVD."""
+        target = Region([Rect(0, 0, 180, 1500), Rect(460, 0, 640, 1500)])
+        window = Rect(-600, -600, 1240, 2100)
+        with pytest.raises(LithoError, match=message):
+            model_opc(target, simulator, window, **kwargs)
+        if "dose" in kwargs:
+            with pytest.raises(LithoError, match=message):
+                correct_region(target, CorrectionLevel.MODEL, simulator=simulator, **kwargs)
 
     def test_single_iteration_runs(self, simulator, anchor_dose, iso_line):
         result = model_opc(

@@ -75,22 +75,11 @@ class TestSimulatorInternals:
             assert grid.nx % LithoSimulator.GRID_QUANTUM == 0
             assert grid.ny % LithoSimulator.GRID_QUANTUM == 0
 
-    def test_support_limit_triggers_abbe(self):
-        sim = LithoSimulator(
-            LithoConfig(optics=krf_annular(), pixel_nm=8.0, socs_support_limit=10)
-        )
-        grid = sim.grid_for(Rect(0, 0, 2000, 2000))
-        assert sim._support_too_large(grid)
-        big = LithoSimulator(
-            LithoConfig(optics=krf_annular(), pixel_nm=8.0, socs_support_limit=10**9)
-        )
-        assert not big._support_too_large(grid)
-
     def test_abbe_fallback_matches_socs(self):
-        """Whatever engine the limit picks, the physics must agree."""
+        """A 64-kernel simulator image agrees with the Abbe reference."""
         import numpy as np
 
-        from repro.litho import binary_mask
+        from repro.litho import AbbeEngine, binary_mask
 
         lines = Region.from_rects(
             [Rect(x, -800, x + 180, 800) for x in range(-600, 601, 460)]
@@ -99,12 +88,33 @@ class TestSimulatorInternals:
         socs = LithoSimulator(
             LithoConfig(optics=krf_conventional(), pixel_nm=8.0, max_kernels=64)
         )
-        abbe = LithoSimulator(
-            LithoConfig(optics=krf_conventional(), pixel_nm=8.0, socs_support_limit=1)
-        )
-        _g1, img_socs = socs.aerial_image(binary_mask(lines), window)
-        _g2, img_abbe = abbe.aerial_image(binary_mask(lines), window)
+        mask = binary_mask(lines)
+        grid, img_socs = socs.aerial_image(mask, window)
+        img_abbe = AbbeEngine(krf_conventional()).image(mask.field(grid), grid)
         assert np.abs(img_socs - img_abbe).max() < 5e-3
+
+    def test_large_window_never_images_with_abbe(self, monkeypatch):
+        """A window above the old 3,000-point support limit still images
+        with SOCS: the simulator has one imaging model for every window."""
+        from repro.litho import AbbeEngine, binary_mask
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the simulator called AbbeEngine.image")
+
+        monkeypatch.setattr(AbbeEngine, "image", refuse)
+        sim = LithoSimulator(
+            LithoConfig(optics=krf_annular(), pixel_nm=16.0, ambit_nm=600)
+        )
+        window = Rect(0, 0, 5968, 4944)
+        grid = sim.grid_for(window)
+        assert (grid.nx, grid.ny) == (448, 384)
+        assert len(sim._socs.kernel_set(grid, 0.0).support_iy) > 3000
+        lines = Region.from_rects(
+            [Rect(x, 0, x + 180, 4944) for x in range(0, 5968, 460)]
+        )
+        latent_grid, latent = sim.latent_image(binary_mask(lines), window)
+        assert latent_grid == grid
+        assert latent.shape == grid.shape
 
     def test_config_resist_swap(self):
         from repro.litho import ThresholdResist
